@@ -35,7 +35,6 @@ from .estimators import (
     GradientEstimate,
     estimate,
     gumbel_softmax_st_grad,
-    redge_cov_grad,
     redge_hard_grad,
     redge_max_grad,
     redge_soft_grad,

@@ -25,9 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .categorical import FactorizedCategorical, exact_gradient, gumbel_noise
-from .diffusion import linear_schedule, sample_trajectory, uniform_grid, TrajectoryNoise
-from .estimators import EstimatorConfig, covariance_apply, estimate
+from .categorical import FactorizedCategorical, exact_gradient, gumbel_noise, onehot_from_indices
+from .diffusion import Schedule, linear_schedule, sample_trajectory, uniform_grid, TrajectoryNoise
+from .estimators import (
+    EstimatorConfig,
+    covariance_apply,
+    estimate,
+    reinforce_apply,
+    reinmax_apply,
+)
 from .tensor import Node, Tape, as_matrix, jacobian
 
 _TIE_TOL = 1e-12
@@ -77,6 +83,20 @@ def operator_norm(mat, tol: float = 1e-10, max_iter: int = 10_000) -> float:
             return new_sigma
         sigma = new_sigma
     return sigma
+
+
+def _schedule_moving_t1(n: int, t1: float) -> Schedule:
+    """Linear schedule on the uniform n-step grid with only t1 moved.
+
+    t1 must stay below the next timestep t2 of the uniform grid so the grid
+    remains strictly decreasing.
+    """
+    grid = uniform_grid(n)
+    t2 = grid[-3] if n > 2 else 1.0
+    if not 0.0 < t1 < t2:
+        raise ValueError(f"t1 must lie in (0, {t2})")
+    grid[-2] = t1
+    return linear_schedule(grid=grid)
 
 
 def coef_for_t(t: float) -> float:
@@ -132,21 +152,15 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
     if logits.shape[0] != 1:
         raise ValueError("the decay study analyzes a single categorical row")
     categories = logits.shape[1]
-    base = uniform_grid(n)
-    t2 = base[-3] if n > 2 else 1.0
     t1_list = [float(t) for t in t1_list]
-    if any(not 0.0 < t < t2 for t in t1_list):
-        raise ValueError(f"every t1 must lie in (0, {t2})")
+    schedules = [_schedule_moving_t1(n, t1) for t1 in t1_list]
     if x1 is None:
         x1 = np.random.default_rng(noise_seed).standard_normal((1, categories))
     x1 = as_matrix(x1)
 
     raw = []
     chain_bound = 0.0
-    for t1 in t1_list:
-        grid = base.copy()
-        grid[-2] = t1
-        schedule = linear_schedule(grid=grid)
+    for t1, schedule in zip(t1_list, schedules):
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
         traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1, step_z=(None,) * (n - 1)))
@@ -154,7 +168,7 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
         pre = traj.state_before_last
         jac_pre = jacobian(pre, leaf)
         rep = margin(pre.value[0])
-        raw.append((t1, coef_for_t(t1), operator_norm(jac_full), rep))
+        raw.append((t1, schedule.coef_ratio(t1), operator_norm(jac_full), rep))
         chain_bound = max(chain_bound, operator_norm(jac_pre))
 
     mk = 2.0 * categories * (categories - 1)
@@ -203,8 +217,7 @@ def decay_sweep_coefs(limit_margin: float, categories: int, points: int = 12,
     safety factor absorbs the drift of the margin as t1 shrinks (the probe
     margin is measured at a moderate t1, the limit margin is smaller).
     """
-    mk = 2.0 * categories * (categories - 1)
-    c_star = 2.0 * np.log(mk / target_norm) / limit_margin
+    c_star = bound_threshold(limit_margin, categories, target_norm)
     return np.geomspace(c_min, safety * c_star, points)
 
 
@@ -235,6 +248,7 @@ def default_decay_study(logits, x1, n: int = 4, points: int = 12,
 
 
 def bound_threshold(limit_margin: float, categories: int, target_norm: float = 1e-6) -> float:
+    """The c at which 2K(K-1) exp(-margin c / 2) falls to ``target_norm``."""
     mk = 2.0 * categories * (categories - 1)
     return 2.0 * np.log(mk / target_norm) / limit_margin
 
@@ -245,12 +259,14 @@ def bound_threshold(limit_margin: float, categories: int, target_norm: float = 1
 
 
 class PolyObjective:
-    """Polynomial objective with tape, plain, and batched evaluation paths.
+    """Polynomial objective with a tape path and a plain-array path.
 
     f(x) = <lin, x> + vec(x)^T quad vec(x) + <cubic, x**3> + const, with any
-    of the coefficient blocks optional.  The batched paths evaluate a whole
-    (R, L, K) stack at once, which keeps large-replication bias/variance
-    measurements cheap for the single-shot estimators.
+    of the coefficient blocks optional.  The plain path is written once, for
+    a whole (R, L, K) stack (:meth:`value_batch`, :meth:`grad_batch`), which
+    keeps large-replication bias/variance measurements cheap for the
+    single-shot estimators; :meth:`value` and :meth:`grad` evaluate one LxK
+    point as a stack of one.
     """
 
     def __init__(self, shape, lin=None, quad=None, cubic=None, const: float = 0.0):
@@ -280,27 +296,10 @@ class PolyObjective:
         return out + self.const if self.const else out
 
     def value(self, x) -> float:
-        x = as_matrix(x)
-        out = self.const
-        if self.lin is not None:
-            out += float((self.lin * x).sum())
-        if self.quad is not None:
-            flat = x.ravel()
-            out += float(flat @ self.quad @ flat)
-        if self.cubic is not None:
-            out += float((self.cubic * x**3).sum())
-        return out
+        return float(self.value_batch(as_matrix(x)[None])[0])
 
     def grad(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        g = np.zeros(self.shape)
-        if self.lin is not None:
-            g += self.lin
-        if self.quad is not None:
-            g += ((self.quad + self.quad.T) @ x.ravel()).reshape(self.shape)
-        if self.cubic is not None:
-            g += 3.0 * self.cubic * x**2
-        return g
+        return self.grad_batch(as_matrix(x)[None])[0]
 
     def value_batch(self, stack: np.ndarray) -> np.ndarray:
         out = np.full(stack.shape[0], self.const)
@@ -376,6 +375,8 @@ def bias_variance(config: EstimatorConfig, dist: FactorizedCategorical, f,
     Covariance is normalized by R so that MSE = |bias|^2 + trace(cov) holds
     exactly for the same replications.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     exact = exact_gradient(dist, f)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if config.kind in _BATCHABLE_KINDS and hasattr(f, "grad_batch"):
@@ -400,24 +401,18 @@ def bias_variance(config: EstimatorConfig, dist: FactorizedCategorical, f,
 
 
 def _batched_single_shot(config, dist, f, replications, rng):
-    """Vectorized replications for the single-draw estimators."""
+    """Vectorized replications for the single-draw estimators: an (R, L, K)
+    stack of Gumbel-max draws pushed through the estimators' own formulas."""
     p = dist.probs
     g = gumbel_noise((replications,) + p.shape, rng)
-    indices = np.argmax(dist.logits[None] + g, axis=2)
-    onehots = np.zeros_like(g)
-    rows = np.arange(dist.length)
-    for r in range(replications):
-        onehots[r, rows, indices[r]] = 1.0
+    indices = np.argmax(dist.logits + g, axis=-1)
+    onehots = onehot_from_indices(indices, dist.categories).onehot.reshape(g.shape)
     if config.kind == "reinforce":
-        values = f.value_batch(onehots)
-        b = 0.0 if config.baseline is None else config.baseline
-        return (values - b)[:, None, None] * (onehots - p[None])
+        return reinforce_apply(p, onehots, f.value_batch(onehots), config.baseline)
     gx = f.grad_batch(onehots)
-    cov_term = p[None] * (gx - (p[None] * gx).sum(axis=2, keepdims=True))
     if config.kind == "st":
-        return cov_term
-    d = onehots - p[None]
-    return 0.5 * (cov_term + d * (d * gx).sum(axis=2, keepdims=True))
+        return covariance_apply(p, gx)
+    return reinmax_apply(p, onehots, gx)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +429,9 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
     x1(q) = ndtri(q) * (e1 - e2) / sqrt(2).  Returns rows
     (t1, q, theta, output) showing the map sharpen as t1 shrinks.
     """
-    base = uniform_grid(n)
-    t2 = base[-3] if n > 2 else 1.0
     rows = []
     for t1 in t1_list:
-        if not 0.0 < t1 < t2:
-            raise ValueError(f"t1 must lie in (0, {t2})")
-        grid = base.copy()
-        grid[-2] = t1
-        schedule = linear_schedule(grid=grid)
+        schedule = _schedule_moving_t1(n, t1)
         for q in quantiles:
             u = float(ndtri(q))
             x1 = (u / np.sqrt(2.0)) * np.array([[1.0, -1.0]])

@@ -1,20 +1,31 @@
 """Run harness: optimize each benchmark with a chosen estimator and record
 reproducible traces.
 
+:func:`run_benchmark` is the only loop; it owns the trace rows (step, loss,
+grad_norm), the divergence check, one Adam state per parameter, the config
+echo and ``wall_seconds``.  A small task object, chosen by the problem's
+type, supplies the rest: ``init(rng)`` gives the parameter list (logits
+first), ``step(params, k)`` one step's (gradients, trace loss), and
+``summary(params, trace)`` the problem's summary fields.
+
 Batched replications are realized by row-stacking: the factorized rows of
 independent replications (or puzzles) are concatenated into one logit matrix,
 one estimator call serves the whole batch, and the gradient is folded back by
-summing replication tiles.  Estimator randomness is derived per step from
-(seed, step), so a rerun with the same configuration is bit-identical;
-traces deliberately contain no wall-clock columns.
+summing replication tiles.
+
+Every random stream is ``SeedSequence(entropy=(seed, n))``: initial
+parameters use n = ``init_tag`` (1 poly, 2 GMM logits then means, 3 Sudoku),
+the estimator at step k uses n = k, and the Sudoku Monte-Carlo loss uses
+n = steps + k at step k and n = 2 * steps + 1 for the summary.  A rerun with
+the same configuration is therefore bit-identical; traces deliberately
+contain no wall-clock columns.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -70,144 +81,110 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _config_echo(est_cfg: EstimatorConfig, problem: str, steps: int, seed: int,
-                 extra: dict) -> dict:
-    echo = {"problem": problem, "steps": steps, "seed": seed,
-            "estimator": asdict(est_cfg)}
-    echo.update(extra)
-    return echo
-
-
 # ---------------------------------------------------------------------------
-# Polynomial programming
+# Tasks: what each benchmark adds to the loop
 # ---------------------------------------------------------------------------
 
 
-def run_polyprog(problem: PolyProgProblem, est_cfg: EstimatorConfig, steps: int,
-                 seed: int, batch: int = 256, lr: float = 0.05) -> RunResult:
-    length = problem.length
-    logits = INIT_LOGIT_STD * _init_rng(seed, 1).standard_normal((length, 2))
-    stacked = PolyProgProblem(length=batch * length, target=problem.target,
-                              exponent=problem.exponent, relaxation=problem.relaxation)
-    adam = AdamState(lr=lr)
-    trace = []
-    diverged = False
-    start = time.perf_counter()
-    for step in range(steps):
-        dist = FactorizedCategorical(np.tile(logits, (batch, 1)))
-        est = estimate(dist, lambda x: polyprog_loss(x, stacked), est_cfg,
-                       _step_rng(seed, step))
-        grad = est.grad.reshape(batch, length, 2).sum(axis=0)
-        loss = exact_polyprog_loss(FactorizedCategorical(logits).probs, problem)
-        trace.append((step, loss, float(np.linalg.norm(grad))))
-        if not np.all(np.isfinite(grad)):
-            diverged = True
-            break
-        logits = adam_step(adam, logits, grad)
-    final_probs = FactorizedCategorical(logits).probs
-    final_loss = exact_polyprog_loss(final_probs, problem)
-    summary = {
-        "config": _config_echo(est_cfg, "poly", steps, seed,
-                               {"batch": batch, "lr": lr,
-                                "exponent": problem.exponent,
-                                "relaxation": problem.relaxation,
-                                "length": problem.length,
-                                "target": problem.target}),
-        "final_loss": final_loss,
-        "optimum": problem.optimum,
-        "gap_to_optimum": final_loss - problem.optimum,
-        "diverged": diverged,
-        "wall_seconds": time.perf_counter() - start,
-    }
-    return RunResult(trace=trace, summary=summary, diverged=diverged)
+class _Task:
+    def __init__(self, est_cfg: EstimatorConfig, steps: int, seed: int, lr: float,
+                 echo: dict):
+        self.est_cfg, self.steps, self.seed, self.lr = est_cfg, steps, seed, lr
+        self.echo = {"lr": lr, **echo}
+
+    def estimate(self, dist: FactorizedCategorical, f, step: int):
+        return estimate(dist, f, self.est_cfg, _step_rng(self.seed, step))
 
 
-# ---------------------------------------------------------------------------
-# GMM variational inference
-# ---------------------------------------------------------------------------
+class _PolyTask(_Task):
+    name, init_tag = "poly", 1
+
+    def __init__(self, problem: PolyProgProblem, est_cfg, steps, seed,
+                 batch: int = 256, lr: float = 0.05):
+        super().__init__(est_cfg, steps, seed, lr, {"batch": batch, **asdict(problem)})
+        self.problem, self.batch = problem, batch
+        self.stacked = replace(problem, length=batch * problem.length)
+
+    def init(self, rng):
+        return [INIT_LOGIT_STD * rng.standard_normal((self.problem.length, 2))]
+
+    def step(self, params, step):
+        (logits,) = params
+        dist = FactorizedCategorical(np.tile(logits, (self.batch, 1)))
+        est = self.estimate(dist, lambda x: polyprog_loss(x, self.stacked), step)
+        grad = est.grad.reshape(self.batch, self.problem.length, 2).sum(axis=0)
+        return [grad], exact_polyprog_loss(FactorizedCategorical(logits).probs, self.problem)
+
+    def summary(self, params, trace):
+        final_loss = exact_polyprog_loss(FactorizedCategorical(params[0]).probs, self.problem)
+        return {"final_loss": final_loss, "optimum": self.problem.optimum,
+                "gap_to_optimum": final_loss - self.problem.optimum}
 
 
-def run_gmm(problem: gmm_mod.GmmProblem, est_cfg: EstimatorConfig, steps: int,
-            seed: int, lr: float = 0.01, tail: int = 100) -> RunResult:
-    init = _init_rng(seed, 2)
-    logits = INIT_LOGIT_STD * init.standard_normal((problem.size, problem.components))
-    mhat = problem.sigma0 * init.standard_normal((problem.components, problem.dim))
-    adam_logits = AdamState(lr=lr)
-    adam_mhat = AdamState(lr=lr)
-    trace = []
-    diverged = False
-    start = time.perf_counter()
-    for step in range(steps):
-        dist = FactorizedCategorical(logits)
-        mh = mhat
+class _GmmTask(_Task):
+    name, init_tag = "gmm", 2
 
-        def f(x, mh=mh):
-            return gmm_mod.likelihood_term(x, mh, problem)
+    def __init__(self, problem: gmm_mod.GmmProblem, est_cfg, steps, seed,
+                 lr: float = 0.01, tail: int = 100):
+        super().__init__(est_cfg, steps, seed, lr,
+                         {"size": problem.size, "components": problem.components,
+                          "sigma0": problem.sigma0, "sigma_y": problem.sigma_y})
+        self.problem, self.tail = problem, tail
 
-        est = estimate(dist, f, est_cfg, _step_rng(seed, step))
-        g_logits = est.grad + gmm_mod.entropy_prior_gradient(logits, problem)
-        g_mhat = est.aux_grads["mhat"] + gmm_mod.map_gradient(mhat, problem)
-        nelbo = gmm_mod.exact_objective_value(logits, mhat, problem)
-        trace.append((step, nelbo, float(np.linalg.norm(g_logits))))
-        if not (np.all(np.isfinite(g_logits)) and np.all(np.isfinite(g_mhat))):
-            diverged = True
-            break
-        logits = adam_step(adam_logits, logits, g_logits)
-        mhat = adam_step(adam_mhat, mhat, g_mhat)
-    tail_vals = [row[1] for row in trace[-tail:]]
-    summary = {
-        "config": _config_echo(est_cfg, "gmm", steps, seed,
-                               {"lr": lr, "size": problem.size,
-                                "components": problem.components,
-                                "sigma0": problem.sigma0,
-                                "sigma_y": problem.sigma_y}),
-        "final_nelbo": trace[-1][1] if trace else float("nan"),
-        "tail_nelbo_mean": float(np.mean(tail_vals)) if tail_vals else float("nan"),
-        "tail_nelbo_std": float(np.std(tail_vals)) if tail_vals else float("nan"),
-        "clustering_accuracy": gmm_mod.clustering_accuracy(logits, problem.true_z),
-        "diverged": diverged,
-        "wall_seconds": time.perf_counter() - start,
-    }
-    return RunResult(trace=trace, summary=summary, diverged=diverged)
+    def init(self, rng):
+        p = self.problem
+        return [INIT_LOGIT_STD * rng.standard_normal((p.size, p.components)),
+                p.sigma0 * rng.standard_normal((p.components, p.dim))]
+
+    def step(self, params, step):
+        logits, mhat = params
+        p = self.problem
+        est = self.estimate(FactorizedCategorical(logits),
+                            lambda x: gmm_mod.likelihood_term(x, mhat, p), step)
+        g_logits = est.grad + gmm_mod.entropy_prior_gradient(logits, p)
+        g_mhat = est.aux_grads["mhat"] + gmm_mod.map_gradient(mhat, p)
+        return [g_logits, g_mhat], gmm_mod.exact_objective_value(logits, mhat, p)
+
+    def summary(self, params, trace):
+        tail_vals = [row[1] for row in trace[-self.tail:]]
+        nan = float("nan")
+        return {"final_nelbo": trace[-1][1] if trace else nan,
+                "tail_nelbo_mean": float(np.mean(tail_vals)) if tail_vals else nan,
+                "tail_nelbo_std": float(np.std(tail_vals)) if tail_vals else nan,
+                "clustering_accuracy": gmm_mod.clustering_accuracy(params[0],
+                                                                   self.problem.true_z)}
 
 
-# ---------------------------------------------------------------------------
-# Sudoku
-# ---------------------------------------------------------------------------
+class _SudokuTask(_Task):
+    name, init_tag = "sudoku", 3
 
+    def __init__(self, problems, est_cfg, steps, seed, lr: float = 0.05,
+                 mc_draws: int = 16):
+        self.batch = SudokuBatch(problems)
+        super().__init__(est_cfg, steps, seed, lr,
+                         {"puzzles": self.batch.count, "mc_draws": mc_draws})
+        self.mc_draws = mc_draws
 
-def run_sudoku(problems, est_cfg: EstimatorConfig, steps: int, seed: int,
-               lr: float = 0.05, mc_draws: int = 16) -> RunResult:
-    batch = SudokuBatch(problems)
-    logits = INIT_LOGIT_STD * _init_rng(seed, 3).standard_normal((batch.total_free, DIGITS))
-    adam = AdamState(lr=lr)
-    trace = []
-    diverged = False
-    start = time.perf_counter()
-    for step in range(steps):
-        dist = FactorizedCategorical(logits)
-        est = estimate(dist, batch.objective, est_cfg, _step_rng(seed, step))
-        grad = est.grad
-        loss = _mc_hard_loss(batch, logits, mc_draws, _step_rng(seed, steps + step)).mean()
-        trace.append((step, float(loss), float(np.linalg.norm(grad))))
-        if not np.all(np.isfinite(grad)):
-            diverged = True
-            break
-        logits = adam_step(adam, logits, grad)
-    per_puzzle_loss = _mc_hard_loss(batch, logits, mc_draws, _step_rng(seed, 2 * steps + 1))
-    hard = batch.argmax_grids(logits)
-    solved = np.array([is_valid_grid(hard[i]) for i in range(batch.count)])
-    summary = {
-        "config": _config_echo(est_cfg, "sudoku", steps, seed,
-                               {"lr": lr, "puzzles": batch.count, "mc_draws": mc_draws}),
-        "mean_loss": float(per_puzzle_loss.mean()),
-        "std_loss": float(per_puzzle_loss.std()),
-        "solved_percent": float(100.0 * solved.mean()),
-        "solved_count": int(solved.sum()),
-        "diverged": diverged,
-        "wall_seconds": time.perf_counter() - start,
-    }
-    return RunResult(trace=trace, summary=summary, diverged=diverged)
+    def init(self, rng):
+        return [INIT_LOGIT_STD * rng.standard_normal((self.batch.total_free, DIGITS))]
+
+    def step(self, params, step):
+        (logits,) = params
+        est = self.estimate(FactorizedCategorical(logits), self.batch.objective, step)
+        loss = _mc_hard_loss(self.batch, logits, self.mc_draws,
+                             _step_rng(self.seed, self.steps + step)).mean()
+        return [est.grad], float(loss)
+
+    def summary(self, params, trace):
+        logits, batch = params[0], self.batch
+        per_puzzle_loss = _mc_hard_loss(batch, logits, self.mc_draws,
+                                        _step_rng(self.seed, 2 * self.steps + 1))
+        hard = batch.argmax_grids(logits)
+        solved = np.array([is_valid_grid(hard[i]) for i in range(batch.count)])
+        return {"mean_loss": float(per_puzzle_loss.mean()),
+                "std_loss": float(per_puzzle_loss.std()),
+                "solved_percent": float(100.0 * solved.mean()),
+                "solved_count": int(solved.sum())}
 
 
 def _mc_hard_loss(batch: SudokuBatch, logits: np.ndarray, draws: int,
@@ -219,18 +196,44 @@ def _mc_hard_loss(batch: SudokuBatch, logits: np.ndarray, draws: int,
     return penalty_batch(grids).mean(axis=0)       # (P,)
 
 
+_TASKS = ((PolyProgProblem, _PolyTask), (gmm_mod.GmmProblem, _GmmTask),
+          ((list, tuple), _SudokuTask))
+
+
 # ---------------------------------------------------------------------------
-# Dispatch
+# The loop
 # ---------------------------------------------------------------------------
 
 
 def run_benchmark(problem, est_cfg: EstimatorConfig, steps: int, seed: int,
                   **kwargs) -> RunResult:
-    """Run one benchmark; ``problem`` selects the harness by type."""
-    if isinstance(problem, PolyProgProblem):
-        return run_polyprog(problem, est_cfg, steps, seed, **kwargs)
-    if isinstance(problem, gmm_mod.GmmProblem):
-        return run_gmm(problem, est_cfg, steps, seed, **kwargs)
-    if isinstance(problem, (list, tuple)):
-        return run_sudoku(problem, est_cfg, steps, seed, **kwargs)
-    raise TypeError(f"unknown problem type {type(problem)!r}")
+    """Optimize one benchmark with Adam; ``problem`` selects the task by type.
+
+    ``kwargs`` go to the task: ``batch``, ``lr`` for a PolyProgProblem; ``lr``,
+    ``tail`` for a GmmProblem; ``lr``, ``mc_draws`` for a list of puzzles.  A
+    step with non-finite gradients is traced, not applied, and ends the run.
+    """
+    cls = next((c for kind, c in _TASKS if isinstance(problem, kind)), None)
+    if cls is None:
+        raise TypeError(f"unknown problem type {type(problem)!r}")
+    task = cls(problem, est_cfg, steps, seed, **kwargs)
+    params = task.init(_init_rng(seed, task.init_tag))
+    adams = [AdamState(lr=task.lr) for _ in params]
+    trace = []
+    diverged = False
+    start = time.perf_counter()
+    for step in range(steps):
+        grads, loss = task.step(params, step)
+        trace.append((step, loss, float(np.linalg.norm(grads[0]))))
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            diverged = True
+            break
+        params = [adam_step(adam, p, g) for adam, p, g in zip(adams, params, grads)]
+    summary = {
+        "config": {"problem": task.name, "steps": steps, "seed": seed,
+                   "estimator": asdict(est_cfg), **task.echo},
+        **task.summary(params, trace),
+        "diverged": diverged,
+        "wall_seconds": time.perf_counter() - start,
+    }
+    return RunResult(trace=trace, summary=summary, diverged=diverged)

@@ -14,6 +14,15 @@ integer seed:
     n=2 soft path   ==  straight-through on the mean,
     n=2 hard path   ==  hard straight-through,
     n=2 hard + trapezoidal correction  ==  ReinMax.
+
+The classical formulas are written once, as plain array maps that accept
+leading (replication) axes: :func:`covariance_apply` (Cov(p) g, the
+straight-through and Gumbel-softmax transport), :func:`reinmax_apply` and
+:func:`reinforce_apply`.  The single-sample estimators here and the batched
+replications of ``analysis.bias_variance`` both call them.  :func:`estimate`
+dispatches through a table keyed by kind, from which ``ESTIMATOR_KINDS`` is
+derived; ``"redge-cov"`` shares ``redge_hard_grad`` with ``"redge"`` (the
+config's kind selects the moment-matched reference inside the trajectory).
 """
 
 from __future__ import annotations
@@ -32,18 +41,7 @@ from .categorical import (
     sample_onehot_rows,
 )
 from .diffusion import Schedule, draw_noise, linear_schedule, sample_trajectory
-from .tensor import Node, Tape, _row_total, grad_or_zero, softmax_rows
-
-ESTIMATOR_KINDS = (
-    "st",
-    "reinmax",
-    "gs-st",
-    "reinforce",
-    "redge",
-    "redge-soft",
-    "redge-max",
-    "redge-cov",
-)
+from .tensor import Tape, covariance_apply, grad_or_zero, softmax_rows, stable_softmax
 
 _DIFFUSION_KINDS = frozenset({"redge", "redge-soft", "redge-max", "redge-cov"})
 
@@ -117,9 +115,20 @@ def eval_objective(f, x_value: np.ndarray):
     return float(out.value[0, 0]), grad_or_zero(x), tape.named_grads()
 
 
-def covariance_apply(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row-wise action of diag(p) - p p^T on g."""
-    return p * (g - _row_total(p * g))
+def reinmax_apply(p: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise ReinMax transport 1/2 {Cov(p) + (x - p)(x - p)^T} g.
+
+    ``x`` and ``g`` may carry leading axes over the (L, K) of ``p``.
+    """
+    d = x - p
+    return 0.5 * (covariance_apply(p, g) + d * (d * g).sum(axis=-1, keepdims=True))
+
+
+def reinforce_apply(p: np.ndarray, x: np.ndarray, values,
+                    baseline: Optional[float] = None) -> np.ndarray:
+    """Score-function term (f(x) - b)(x - p); ``values`` has x's leading axes."""
+    b = 0.0 if baseline is None else float(baseline)
+    return (np.asarray(values) - b)[..., None, None] * (x - p)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +155,8 @@ def soft_st_grad(dist: FactorizedCategorical, f) -> GradientEstimate:
 def st_estimate_for_sample(dist: FactorizedCategorical, f, hard: OneHotSample) -> GradientEstimate:
     """Hard straight-through for a given sample: Cov(p) applied to grad f(X)."""
     value, gx, aux = eval_objective(f, hard.onehot)
-    tape = Tape()
-    logits = tape.lift(dist.logits, requires_grad=True)
-    probs = softmax_rows(logits)
-    tape.backward(probs.dot(tape.constant(gx)))
     return GradientEstimate(
-        grad=grad_or_zero(logits),
+        grad=covariance_apply(dist.probs, gx),
         kind="st",
         objective_value=value,
         hard_sample=hard,
@@ -173,15 +178,12 @@ def reinmax_estimate_for_sample(dist: FactorizedCategorical, f,
         1/2 * { Cov(p) + (x - p)(x - p)^T } grad f(x).
     """
     value, gx, aux = eval_objective(f, hard.onehot)
-    p = dist.probs
-    d = hard.onehot - p
-    grad = 0.5 * (covariance_apply(p, gx) + d * (d * gx).sum(axis=1, keepdims=True))
     return GradientEstimate(
-        grad=grad,
+        grad=reinmax_apply(dist.probs, hard.onehot, gx),
         kind="reinmax",
         objective_value=value,
         hard_sample=hard,
-        soft_sample=p.copy(),
+        soft_sample=dist.probs.copy(),
         aux_grads=aux,
     )
 
@@ -217,8 +219,8 @@ def gumbel_softmax_st_grad(dist: FactorizedCategorical, f, tau: float, rng) -> G
     """Gumbel-softmax with a straight-through forward.
 
     The hard sample is the argmax of logits + Gumbel noise (so it follows the
-    categorical law exactly); the backward pass flows through the tempered
-    softmax of the same perturbed logits.
+    categorical law exactly); the gradient is the tempered softmax Jacobian
+    of the same perturbed logits, Cov(s) grad f(X) / tau.
     """
     if tau <= 0.0:
         raise ValueError("temperature must be positive")
@@ -227,16 +229,14 @@ def gumbel_softmax_st_grad(dist: FactorizedCategorical, f, tau: float, rng) -> G
     # The hard sample comes from the same Gumbel draw that drives the soft map.
     hard = onehot_from_indices(np.argmax(dist.logits + g, axis=1), dist.categories)
     value, gx, aux = eval_objective(f, hard.onehot)
-    tape = Tape()
-    logits = tape.lift(dist.logits, requires_grad=True)
-    soft = softmax_rows((logits + tape.constant(g)) * (1.0 / tau))
-    tape.backward(soft.dot(tape.constant(gx)))
+    inv_tau = 1.0 / tau
+    soft = stable_softmax((dist.logits + g) * inv_tau)
     return GradientEstimate(
-        grad=grad_or_zero(logits),
+        grad=covariance_apply(soft, gx) * inv_tau,
         kind="gs-st",
         objective_value=value,
         hard_sample=hard,
-        soft_sample=soft.value,
+        soft_sample=soft,
         aux_grads=aux,
     )
 
@@ -245,10 +245,8 @@ def reinforce_estimate_for_sample(dist: FactorizedCategorical, f, hard: OneHotSa
                                   baseline: Optional[float] = None) -> GradientEstimate:
     """Score-function estimate (f(X) - b) * (X - p) for a given sample."""
     value, _, aux = eval_objective(f, hard.onehot)
-    b = 0.0 if baseline is None else float(baseline)
-    grad = (value - b) * (hard.onehot - dist.probs)
     return GradientEstimate(
-        grad=grad,
+        grad=reinforce_apply(dist.probs, hard.onehot, value, baseline),
         kind="reinforce",
         objective_value=value,
         hard_sample=hard,
@@ -353,32 +351,25 @@ def redge_max_grad(dist: FactorizedCategorical, f, config: EstimatorConfig,
     )
 
 
-def redge_cov_grad(dist: FactorizedCategorical, f, config: EstimatorConfig,
-                   rng) -> GradientEstimate:
-    """Hard diffusion gradient started from the moment-matched reference."""
-    return redge_hard_grad(dist, f, config, rng)
+# kind -> estimator(dist, f, config, rng); "redge-cov" is the hard path, whose
+# trajectory starts from the moment-matched reference for that kind.
+_ESTIMATORS = {
+    "st": lambda dist, f, config, rng: st_grad(dist, f, rng),
+    "reinmax": lambda dist, f, config, rng: reinmax_grad(dist, f, rng),
+    "gs-st": lambda dist, f, config, rng: gumbel_softmax_st_grad(dist, f, config.tau, rng),
+    "reinforce": lambda dist, f, config, rng: reinforce_grad(dist, f, rng, config.baseline),
+    "redge": redge_hard_grad,
+    "redge-soft": redge_soft_grad,
+    "redge-max": redge_max_grad,
+    "redge-cov": redge_hard_grad,
+}
+
+ESTIMATOR_KINDS = tuple(_ESTIMATORS)
 
 
 def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
              rng=None) -> GradientEstimate:
     """Dispatch on ``config.kind``; ``rng`` defaults to ``config.seed``."""
-    if rng is None:
-        rng = config.seed
-    kind = config.kind
-    if kind == "st":
-        return st_grad(dist, f, rng)
-    if kind == "reinmax":
-        return reinmax_grad(dist, f, rng)
-    if kind == "gs-st":
-        return gumbel_softmax_st_grad(dist, f, config.tau, rng)
-    if kind == "reinforce":
-        return reinforce_grad(dist, f, rng, config.baseline)
-    if kind == "redge-soft":
-        return redge_soft_grad(dist, f, config, rng)
-    if kind == "redge":
-        return redge_hard_grad(dist, f, config, rng)
-    if kind == "redge-max":
-        return redge_max_grad(dist, f, config, rng)
-    if kind == "redge-cov":
-        return redge_cov_grad(dist, f, config, rng)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    if config.kind not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator kind {config.kind!r}")
+    return _ESTIMATORS[config.kind](dist, f, config, config.seed if rng is None else rng)

@@ -30,7 +30,6 @@ from .estimators import (
     EstimatorConfig,
     eval_objective,
     gumbel_softmax_st_grad,
-    redge_cov_grad,
     redge_hard_grad,
     redge_max_grad,
     redge_soft_grad,
@@ -301,8 +300,7 @@ def pathwise_fd_pair(kind: str, dist: FactorizedCategorical, f,
             traj = diffusion.sample_trajectory(tape.constant(la), schedule, noise)
             return float(f(traj.soft_sample).value[0, 0])
     elif kind in ("redge", "redge-cov"):
-        runner = redge_hard_grad if kind == "redge" else redge_cov_grad
-        est = runner(dist, f, config, seed)
+        est = redge_hard_grad(dist, f, config, seed)
         schedule = config.schedule()
         noise = diffusion.draw_noise(schedule, length, categories, split_rng(seed)[0])
         gx = eval_objective(f, est.hard_sample.onehot)[1]

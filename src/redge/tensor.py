@@ -60,13 +60,14 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _row_total(x: np.ndarray) -> np.ndarray:
-    """Per-row sum as an (L, 1) column; column-wise for small K (fast path)."""
-    if x.shape[1] > 16:
-        return x.sum(axis=1, keepdims=True)
-    s = x[:, 0].copy()
-    for k in range(1, x.shape[1]):
-        s += x[:, k]
-    return s[:, None]
+    """Sum over the last axis, kept as a length-1 axis; column-wise for small K
+    (fast path).  Leading axes are carried through, so (L, K) gives (L, 1)."""
+    if x.shape[-1] > 16:
+        return x.sum(axis=-1, keepdims=True)
+    s = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        s += x[..., k]
+    return s[..., None]
 
 
 def stable_softmax(x) -> np.ndarray:
@@ -294,12 +295,17 @@ class Node:
         return softmax_rows(self)
 
 
+def covariance_apply(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise action of diag(p) - p p^T on g; leading axes of g broadcast."""
+    return p * (g - _row_total(p * g))
+
+
 def softmax_rows(x: Node) -> Node:
     """Row-stochastic softmax node; backward applies diag(p) - p p^T per row."""
     p = stable_softmax(x.value)
 
     def vjp(g, p=p):
-        return p * (g - _row_total(p * g))
+        return covariance_apply(p, g)
 
     return x.tape._record(p, ((x, vjp),))
 

@@ -5,6 +5,7 @@ import pytest
 
 from redge.analysis import (
     PolyObjective,
+    _batched_single_shot,
     bias_variance,
     bound_threshold,
     coef_for_t,
@@ -18,9 +19,19 @@ from redge.analysis import (
     t_for_coef,
     transport_slice,
 )
-from redge.categorical import FactorizedCategorical, exact_gradient
+from redge.categorical import (
+    FactorizedCategorical,
+    exact_gradient,
+    gumbel_noise,
+    onehot_from_indices,
+)
 from redge.diffusion import denoiser_jacobians, linear_schedule
-from redge.estimators import EstimatorConfig
+from redge.estimators import (
+    EstimatorConfig,
+    reinforce_estimate_for_sample,
+    reinmax_estimate_for_sample,
+    st_estimate_for_sample,
+)
 
 
 class TestMargin:
@@ -194,6 +205,31 @@ class TestBiasVariance:
         band = 4.0 * np.sqrt(max(second - (want**2).sum(), 0.0) / rep.replications)
         assert np.linalg.norm(rep.mean_grad - want) <= band
         assert rep.trace_cov == pytest.approx(second - (want**2).sum(), rel=0.1)
+
+
+    @pytest.mark.parametrize("kind", ["st", "redge"])
+    def test_rejects_fewer_than_one_replication(self, kind):
+        # st takes the batched path, redge the per-replication loop
+        dist = FactorizedCategorical(np.zeros((2, 3)))
+        f = random_cubic(np.random.default_rng(12), 2, 3)
+        for replications in (0, -1):
+            with pytest.raises(ValueError, match="replications"):
+                bias_variance(EstimatorConfig(kind=kind, steps=3), dist, f, replications, 0)
+
+    def test_batched_replications_match_single_sample_estimators(self):
+        rng = np.random.default_rng(13)
+        dist = FactorizedCategorical(rng.normal(size=(2, 3)))
+        f = random_cubic(rng, 2, 3)
+        noise = gumbel_noise((20, 2, 3), np.random.default_rng(14))
+        singles = {"st": st_estimate_for_sample, "reinmax": reinmax_estimate_for_sample,
+                   "reinforce": reinforce_estimate_for_sample}
+        for kind, single in singles.items():
+            grads = _batched_single_shot(EstimatorConfig(kind=kind), dist, f, 20,
+                                         np.random.default_rng(14))
+            for r in range(20):
+                hard = onehot_from_indices(np.argmax(dist.logits + noise[r], axis=1), 3)
+                np.testing.assert_allclose(grads[r], single(dist, f, hard).grad,
+                                           rtol=1e-12, atol=1e-14)
 
 
 class TestTransportSlice:

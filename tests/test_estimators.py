@@ -20,7 +20,6 @@ from redge.estimators import (
     estimate,
     eval_objective,
     gumbel_softmax_st_grad,
-    redge_cov_grad,
     redge_hard_grad,
     redge_max_grad,
     redge_soft_grad,
@@ -199,7 +198,7 @@ class TestReductionIdentities:
 
     def test_cov_single_step_soft_sample_is_mean(self):
         cfg = EstimatorConfig(kind="redge-cov", steps=2)
-        est = redge_cov_grad(self.dist, self.f, cfg, 24)
+        est = estimate(self.dist, self.f, cfg, 24)
         np.testing.assert_allclose(est.soft_sample, self.dist.probs, atol=1e-12)
 
 

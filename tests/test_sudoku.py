@@ -1,0 +1,70 @@
+"""Sudoku benchmark tests: adjoint pairs behind ``linear_op``, grid validity,
+and deterministic puzzle generation."""
+
+import numpy as np
+import pytest
+
+from redge.benchmarks.sudoku import (
+    DIGITS,
+    GRID_CELLS,
+    SudokuBatch,
+    _complete_grid,
+    generate_puzzles,
+    group_sums,
+    group_sums_adjoint,
+    is_valid_grid,
+    penalty_batch,
+)
+from redge.tensor import Tape
+
+
+def inner(a, b):
+    """Inner product over the last two axes, leading axes kept."""
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def test_group_sums_adjoint_pair_with_leading_axes():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, GRID_CELLS, DIGITS))
+    g = rng.standard_normal((2, 3, 27, DIGITS))
+    lhs = inner(g, group_sums(x))
+    rhs = inner(group_sums_adjoint(g), x)
+    assert lhs.shape == (2, 3)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_embed_forward_and_adjoint_are_a_pair():
+    rng = np.random.default_rng(1)
+    batch = SudokuBatch(generate_puzzles(3, 2))
+    x = rng.standard_normal((batch.total_free, DIGITS))
+    g = rng.standard_normal((batch.count * GRID_CELLS, DIGITS))
+    tape = Tape()
+    leaf = tape.lift(x, requires_grad=True)
+    out = batch.embed(leaf)
+    tape.backward(out, seed=g)
+    linear_part = out.value - batch.clue_matrix
+    assert inner(g, linear_part) == pytest.approx(inner(leaf.grad, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_complete_grid_is_valid(seed):
+    grid = _complete_grid(np.random.default_rng(seed))
+    assert is_valid_grid(grid - 1)
+    onehot = np.eye(DIGITS)[grid - 1]
+    assert penalty_batch(onehot) == 0.0
+
+
+def test_invalid_grid_rejected():
+    grid = _complete_grid(np.random.default_rng(0)) - 1
+    grid[[0, 1]] = grid[[1, 0]]
+    assert not is_valid_grid(grid)
+
+
+def test_generate_puzzles_deterministic_per_seed():
+    a, b = generate_puzzles(3, 7), generate_puzzles(3, 7)
+    for pa, pb in zip(a, b):
+        np.testing.assert_array_equal(pa.clues, pb.clues)
+    other = generate_puzzles(3, 8)
+    assert any(not np.array_equal(pa.clues, pc.clues) for pa, pc in zip(a, other))
+    for p in a:
+        assert 28 <= GRID_CELLS - p.free_count <= 34
