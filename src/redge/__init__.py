@@ -19,7 +19,6 @@ from .diffusion import (
     Trajectory,
     TrajectoryNoise,
     ddim_step,
-    ddim_stochastic_step,
     denoiser,
     denoiser_cov,
     denoiser_jacobians,

@@ -59,30 +59,12 @@ def margin(x, tol: float = _TIE_TOL) -> MarginReport:
     return MarginReport(argmax_index=int(order[-1]), margin=m, on_boundary=m <= tol)
 
 
-def operator_norm(mat, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Spectral norm via power iteration on A^T A.
-
-    The start vector is a fixed ramp, deterministic and never orthogonal to
-    the top singular direction of the covariance-like matrices used here
-    (whose kernel contains the all-ones vector).
-    """
+def operator_norm(mat) -> float:
+    """Spectral norm (largest singular value); 0 for an empty matrix."""
     a = np.asarray(mat, dtype=np.float64)
-    if a.size == 0 or not np.any(a):
+    if a.size == 0:
         return 0.0
-    v = np.arange(1.0, a.shape[1] + 1.0)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = a.T @ (a @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_sigma = float(np.linalg.norm(a @ v))
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(a, 2))
 
 
 def _schedule_moving_t1(n: int, t1: float) -> Schedule:
@@ -97,18 +79,6 @@ def _schedule_moving_t1(n: int, t1: float) -> Schedule:
         raise ValueError(f"t1 must lie in (0, {t2})")
     grid[-2] = t1
     return linear_schedule(grid=grid)
-
-
-def coef_for_t(t: float) -> float:
-    """c_t = (1 - t) / t^2 under the linear schedule."""
-    return (1.0 - t) / (t * t)
-
-
-def t_for_coef(c: float) -> float:
-    """Inverse of :func:`coef_for_t`: the t in (0, 1) with (1-t)/t^2 = c."""
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    return (-1.0 + np.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
 
 
 @dataclass(frozen=True)
@@ -232,14 +202,14 @@ def default_decay_study(logits, x1, n: int = 4, points: int = 12,
     """
     logits = as_matrix(logits)
     categories = logits.shape[1]
-    probe = jacobian_decay_study(logits, [t_for_coef(60.0)], n=n, x1=x1)
+    probe = jacobian_decay_study(logits, [Schedule.t_for_coef(60.0)], n=n, x1=x1)
     if probe.points[0].on_boundary or probe.limit_margin <= 0.0:
         raise ValueError("probe trajectory lands on the decision boundary")
     margin_guess = probe.limit_margin
     study = None
     for _ in range(max_rounds):
         cs = decay_sweep_coefs(margin_guess, categories, points=points)
-        study = jacobian_decay_study(logits, [t_for_coef(c) for c in cs], n=n, x1=x1)
+        study = jacobian_decay_study(logits, [Schedule.t_for_coef(c) for c in cs], n=n, x1=x1)
         c_star = bound_threshold(study.limit_margin, categories)
         if any(p.c >= c_star for p in study.points):
             break

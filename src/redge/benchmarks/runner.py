@@ -15,10 +15,12 @@ summing replication tiles.
 
 Every random stream is ``SeedSequence(entropy=(seed, n))``: initial
 parameters use n = ``init_tag`` (1 poly, 2 GMM logits then means, 3 Sudoku),
-the estimator at step k uses n = k, and the Sudoku Monte-Carlo loss uses
-n = steps + k at step k and n = 2 * steps + 1 for the summary.  A rerun with
-the same configuration is therefore bit-identical; traces deliberately
-contain no wall-clock columns.
+and the estimator at step k spawns its two streams from n = k (spawned
+children never coincide with the stream n itself).  The Sudoku Monte-Carlo
+loss uses n = m + k at step k and n = m + steps + 1 for the summary, with
+m = max(steps, 4): above both the estimator tags and the init tags, and
+m = steps whenever steps >= 4.  A rerun with the same configuration is
+therefore bit-identical; traces deliberately contain no wall-clock columns.
 """
 
 from __future__ import annotations
@@ -164,6 +166,7 @@ class _SudokuTask(_Task):
         super().__init__(est_cfg, steps, seed, lr,
                          {"puzzles": self.batch.count, "mc_draws": mc_draws})
         self.mc_draws = mc_draws
+        self.mc_tag = max(steps, 4)
 
     def init(self, rng):
         return [INIT_LOGIT_STD * rng.standard_normal((self.batch.total_free, DIGITS))]
@@ -172,13 +175,13 @@ class _SudokuTask(_Task):
         (logits,) = params
         est = self.estimate(FactorizedCategorical(logits), self.batch.objective, step)
         loss = _mc_hard_loss(self.batch, logits, self.mc_draws,
-                             _step_rng(self.seed, self.steps + step)).mean()
+                             _step_rng(self.seed, self.mc_tag + step)).mean()
         return [est.grad], float(loss)
 
     def summary(self, params, trace):
         logits, batch = params[0], self.batch
         per_puzzle_loss = _mc_hard_loss(batch, logits, self.mc_draws,
-                                        _step_rng(self.seed, 2 * self.steps + 1))
+                                        _step_rng(self.seed, self.mc_tag + self.steps + 1))
         hard = batch.argmax_grids(logits)
         solved = np.array([is_valid_grid(hard[i]) for i in range(batch.count)])
         return {"mean_loss": float(per_puzzle_loss.mean()),

@@ -1,21 +1,23 @@
-"""Interpolation schedules, closed-form denoisers, and DDIM transitions.
+"""The linear interpolation schedule, closed-form denoisers, and DDIM transitions.
 
-The forward path interpolates x_t = alpha_t * x0 + sigma_t * x1 between a
-factorized categorical target at t=0 and a Gaussian reference at t=1.  For
-one-hot targets the posterior-mean denoiser has a closed form,
+The forward path interpolates x_t = (1 - t) * x0 + t * x1 between a factorized
+categorical target at t=0 and a Gaussian reference at t=1, so alpha_t = 1 - t
+and sigma_t = t.  For one-hot targets the posterior-mean denoiser has a
+closed form,
 
-    denoise(x, t) = softmax(logits + c_t * x),        c_t = alpha_t / sigma_t^2,
+    denoise(x, t) = softmax(logits + c_t * x),    c_t = alpha_t / sigma_t^2 = (1 - t) / t^2,
 
-so reverse transitions need no learned model.  Deterministic transitions
-follow
+so reverse transitions need no learned model.  Every reverse transition from
+t down to s is one DDIM update (Song et al. 2021, arXiv 2010.02502),
 
-    T_{s|t}(x) = (alpha_s - alpha_t * sigma_s / sigma_t) * denoise(x, t)
-                 + (sigma_s / sigma_t) * x,
+    x_s = a * denoise(x_t, t) + b * x_t + eta_s * z,
+    r = sqrt(sigma_s^2 - eta_s^2),  b = r / sigma_t,  a = alpha_s - alpha_t * r / sigma_t,
 
-and the stochastic variant re-injects eta_s-scaled Gaussian noise.  A
-moment-matched diagonal Gaussian reference (mean/variance of the target per
-coordinate) replaces the standard normal for the covariance-corrected
-estimator; its denoiser gains a per-coordinate precision weighting.
+with eta_s in {0, sigma_s / 2, sigma_s}; eta = 0 is the deterministic
+sampler.  A moment-matched diagonal Gaussian reference (mean/variance of the
+target per coordinate) replaces the standard normal for the
+covariance-corrected estimator; its denoiser gains a per-coordinate
+precision weighting.
 
 Everything here is built from tape nodes, so trajectories are differentiable
 with respect to the logits (and, when enabled, the reference moments).
@@ -23,8 +25,9 @@ with respect to the logits (and, when enabled, the reference moments).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -55,19 +58,23 @@ def path_variance_floor(categories: int) -> float:
 _BOUNDARY_TOL = 1e-12
 
 
+# eta_t / sigma_t for each named noise level of the reverse chain.
+_ETA_SCALES = {"zero": 0.0, "half": 0.5, "full": 1.0}
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Interpolation coefficients (alpha, sigma), per-step noise eta, and a grid.
+    """The linear schedule alpha_t = 1 - t, sigma_t = t on a timestep grid.
 
     The grid is a strictly decreasing array of timesteps from 1.0 down to 0.0.
-    Boundary conditions alpha(0)=1, sigma(0)=0, alpha(1)=0, sigma(1)=1 are
-    enforced, along with monotonicity along the grid and 0 <= eta <= sigma.
+    ``eta_name`` sets the per-step noise: "zero" (eta_t = 0, deterministic),
+    "half" (eta_t = sigma_t / 2) or "full" (eta_t = sigma_t).  The boundary
+    values, the monotonicity of alpha and sigma, and 0 <= eta <= sigma hold
+    by construction, so only the grid and the name are checked.
     """
 
-    alpha: Callable[[float], float]
-    sigma: Callable[[float], float]
-    eta: Callable[[float], float]
     grid: np.ndarray
+    eta_name: str = "zero"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -78,26 +85,33 @@ class Schedule:
             raise ValueError("grid must run from 1.0 down to 0.0")
         if np.any(np.diff(grid) >= 0.0):
             raise ValueError("grid must be strictly decreasing")
-        for value, target in ((self.alpha(0.0), 1.0), (self.sigma(0.0), 0.0),
-                              (self.alpha(1.0), 0.0), (self.sigma(1.0), 1.0)):
-            if abs(value - target) > _BOUNDARY_TOL:
-                raise ValueError("schedule violates boundary conditions")
-        ts = grid[::-1]
-        alphas = np.array([self.alpha(t) for t in ts])
-        sigmas = np.array([self.sigma(t) for t in ts])
-        if np.any(np.diff(alphas) > _BOUNDARY_TOL) or np.any(np.diff(sigmas) < -_BOUNDARY_TOL):
-            raise ValueError("alpha must be non-increasing and sigma non-decreasing in t")
-        for t in ts:
-            e = self.eta(t)
-            if e < -_BOUNDARY_TOL or e > self.sigma(t) + _BOUNDARY_TOL:
-                raise ValueError("eta must satisfy 0 <= eta_t <= sigma_t on the grid")
+        if self.eta_name not in _ETA_SCALES:
+            raise ValueError(f"unknown eta schedule {self.eta_name!r}")
 
-    def coef_ratio(self, t: float) -> float:
-        """c_t = alpha_t / sigma_t^2; undefined at t=0 where sigma vanishes."""
-        s = self.sigma(t)
-        if s <= 0.0:
+    @staticmethod
+    def alpha(t: float) -> float:
+        return 1.0 - t
+
+    @staticmethod
+    def sigma(t: float) -> float:
+        return float(t)
+
+    def eta(self, t: float) -> float:
+        return _ETA_SCALES[self.eta_name] * float(t)
+
+    @staticmethod
+    def coef_ratio(t: float) -> float:
+        """c_t = alpha_t / sigma_t^2 = (1 - t) / t^2; undefined at t=0."""
+        if t <= 0.0:
             raise ValueError(f"c_t undefined at t={t}: sigma is zero")
-        return self.alpha(t) / (s * s)
+        return (1.0 - t) / (t * t)
+
+    @staticmethod
+    def t_for_coef(c: float) -> float:
+        """Inverse of :meth:`coef_ratio`: the t in (0, 1) with (1-t)/t^2 = c."""
+        if c <= 0.0:
+            raise ValueError("c must be positive")
+        return (-1.0 + np.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
 
     @property
     def t1(self) -> float:
@@ -124,30 +138,16 @@ def uniform_grid(n: int, t1: Optional[float] = None) -> np.ndarray:
     return np.concatenate([np.linspace(1.0, t1, n - 1), [0.0]])
 
 
-def linear_schedule(n: int = 2, t1: Optional[float] = None,
-                    eta: Union[str, Callable[[float], float]] = "zero",
+def linear_schedule(n: int = 2, t1: Optional[float] = None, eta: str = "zero",
                     grid: Optional[np.ndarray] = None) -> Schedule:
-    """Linear interpolation schedule alpha_t = 1 - t, sigma_t = t.
+    """Linear schedule on ``grid``, by default :func:`uniform_grid` (n, t1).
 
-    ``eta`` selects the per-step stochasticity: "zero" for the deterministic
-    sampler, "half" for eta_t = sigma_t / 2, "full" for eta_t = sigma_t, or
-    any callable.
+    ``eta`` names the per-step noise: "zero", "half" or "full" (see
+    :class:`Schedule`).
     """
-    alpha = lambda t: 1.0 - t
-    sigma = lambda t: float(t)
-    if eta == "zero":
-        eta_fn = lambda t: 0.0
-    elif eta == "half":
-        eta_fn = lambda t: 0.5 * float(t)
-    elif eta == "full":
-        eta_fn = sigma
-    elif callable(eta):
-        eta_fn = eta
-    else:
-        raise ValueError(f"unknown eta schedule {eta!r}")
     if grid is None:
         grid = uniform_grid(n, t1)
-    return Schedule(alpha=alpha, sigma=sigma, eta=eta_fn, grid=np.asarray(grid, dtype=np.float64))
+    return Schedule(grid=grid, eta_name=eta)
 
 
 @dataclass(frozen=True)
@@ -220,36 +220,26 @@ def denoiser_jacobians(logits, x, t: float, schedule: Schedule):
     return sig, c * sig
 
 
-def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule) -> Node:
-    """Deterministic reverse transition from time t down to s."""
+def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
+              z: Optional[np.ndarray] = None) -> Node:
+    """Reverse transition from time t down to s: x_s = a*d + b*x_t + eta_s*z.
+
+    With r = sqrt(sigma_s^2 - eta_s^2), b = r / sigma_t and
+    a = alpha_s - alpha_t * r / sigma_t.  ``z`` is the standard-normal draw
+    for the step; it is required when eta_s > 0 and unused when eta_s = 0.
+    """
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    sig_t = schedule.sigma(t)
-    if sig_t <= 0.0:
-        raise ValueError("transition undefined: sigma_t is zero")
-    a = schedule.alpha(s) - schedule.alpha(t) * schedule.sigma(s) / sig_t
-    b = schedule.sigma(s) / sig_t
-    return d * a + x_t * b
-
-
-def ddim_stochastic_step(s: float, t: float, x_t: Node, d: Node,
-                         schedule: Schedule, z: np.ndarray) -> Node:
-    """Stochastic reverse transition: renoise with eta_s-scaled Gaussian z.
-
-    Recovers the deterministic step exactly when eta_s = 0.
-    """
-    eta_s = schedule.eta(s)
-    sig_s = schedule.sigma(s)
-    if eta_s > sig_s + _BOUNDARY_TOL:
-        raise ValueError("eta_s exceeds sigma_s")
-    if eta_s <= 0.0:
-        return ddim_step(s, t, x_t, d, schedule)
-    if not 0.0 < s < t <= 1.0:
-        raise ValueError(f"need 0 < s < t <= 1 for a stochastic step, got s={s}, t={t}")
-    a_t, sig_t = schedule.alpha(t), schedule.sigma(t)
-    x1_hat = (x_t - d * a_t) * (1.0 / sig_t)
-    drift = d * schedule.alpha(s) + x1_hat * float(np.sqrt(max(sig_s**2 - eta_s**2, 0.0)))
-    return drift + x_t.tape.constant(eta_s * as_matrix(z))
+    sig_s, sig_t, eta_s = schedule.sigma(s), schedule.sigma(t), schedule.eta(s)
+    r = math.sqrt(sig_s * sig_s - eta_s * eta_s)
+    a = schedule.alpha(s) - schedule.alpha(t) * r / sig_t
+    b = r / sig_t
+    x_s = d * a + x_t * b
+    if eta_s > 0.0:
+        if z is None:
+            raise ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
+        x_s = x_s + x_t.tape.constant(eta_s * as_matrix(z))
+    return x_s
 
 
 @dataclass(frozen=True)
@@ -313,10 +303,7 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
             d = denoiser(logits, x, t, schedule)
         else:
             d = denoiser_cov(logits, x, t, schedule, mu_node, v_node)
-        if schedule.eta(s) > 0.0:
-            x = ddim_stochastic_step(s, t, x, d, schedule, noise.step_z[k])
-        else:
-            x = ddim_step(s, t, x, d, schedule)
+        x = ddim_step(s, t, x, d, schedule, noise.step_z[k])
         states.append((s, x))
     return Trajectory(states=states, soft_sample=x, final_denoiser=d)
 

@@ -46,11 +46,12 @@ from .tensor import Tape, covariance_apply, grad_or_zero, softmax_rows, stable_s
 _DIFFUSION_KINDS = frozenset({"redge", "redge-soft", "redge-max", "redge-cov"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
     """Estimator choice plus its hyperparameters.
 
-    ``steps`` and ``t1`` only matter for the diffusion kinds, ``tau`` for the
+    ``steps``, ``t1`` and ``eta`` only matter for the diffusion kinds, whose
+    schedule is built once at construction (hence frozen); ``tau`` for the
     Gumbel-softmax kind, ``base_backprop`` for the covariance-corrected kind.
     """
 
@@ -66,15 +67,18 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind in _DIFFUSION_KINDS and self.steps < 2:
-            raise ValueError("diffusion estimators need at least two timesteps")
         if self.kind == "gs-st" and self.tau <= 0.0:
             raise ValueError("temperature must be positive")
         if self.t1 is not None and not 0.0 < self.t1 <= 1.0:
             raise ValueError("t1 must lie in (0, 1]")
+        # Built here so that a bad steps/t1/eta combination fails at
+        # construction; a plain attribute, not a field, so asdict() omits it.
+        object.__setattr__(self, "_schedule", linear_schedule(self.steps, self.t1, self.eta)
+                           if self.kind in _DIFFUSION_KINDS else None)
 
     def schedule(self) -> Schedule:
-        return linear_schedule(self.steps, self.t1, self.eta)
+        """The diffusion kinds' schedule; None for the other kinds."""
+        return self._schedule
 
 
 @dataclass
@@ -298,8 +302,8 @@ def _hard_diffusion_estimate(dist: FactorizedCategorical, f, config: EstimatorCo
 
     The hard sample is drawn once, from the denoiser probabilities at the
     earliest positive timestep; the gradient is the transported cotangent
-    of f at that sample, realized as a backward pass from
-    <soft path, stop_grad(grad f(X0))>.
+    of f at that sample, realized as a backward pass along the soft
+    path seeded with stop_grad(grad f(X0)).
     """
     tape, logits, traj, schedule, cat_rng = _trajectory_for(dist, config, rng)
     probs_last = traj.final_denoiser.value
@@ -307,7 +311,7 @@ def _hard_diffusion_estimate(dist: FactorizedCategorical, f, config: EstimatorCo
         log_last = np.log(probs_last)
     hard = sample_onehot_rows(log_last, cat_rng)
     value, gx, aux = eval_objective(f, hard.onehot)
-    tape.backward(traj.soft_sample.dot(tape.constant(gx)))
+    tape.backward(traj.soft_sample, seed=gx)
     grad = grad_or_zero(logits)
     return grad, value, hard, probs_last, gx, aux, traj
 

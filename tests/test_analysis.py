@@ -8,7 +8,6 @@ from redge.analysis import (
     _batched_single_shot,
     bias_variance,
     bound_threshold,
-    coef_for_t,
     decay_sweep_coefs,
     default_decay_study,
     jacobian_decay_study,
@@ -16,7 +15,6 @@ from redge.analysis import (
     operator_norm,
     random_cubic,
     random_linear,
-    t_for_coef,
     transport_slice,
 )
 from redge.categorical import (
@@ -25,7 +23,7 @@ from redge.categorical import (
     gumbel_noise,
     onehot_from_indices,
 )
-from redge.diffusion import denoiser_jacobians, linear_schedule
+from redge.diffusion import Schedule, denoiser_jacobians, linear_schedule
 from redge.estimators import (
     EstimatorConfig,
     reinforce_estimate_for_sample,
@@ -71,6 +69,15 @@ class TestOperatorNorm:
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
 
+    def test_small_scales(self):
+        # relative accuracy must not depend on the scale of the matrix
+        rng = np.random.default_rng(2)
+        for scale in (1e-6, 1e-9):
+            for _ in range(50):
+                b = rng.normal(size=(3, 3))
+                a = scale * (b + b.T)
+                assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+
     def test_covariance_like_matrix(self):
         # all-ones lies in the kernel; the ramp start vector must not stall
         p = np.array([0.2, 0.3, 0.5])
@@ -81,11 +88,11 @@ class TestOperatorNorm:
 class TestCoefMaps:
     def test_roundtrip(self):
         for c in (0.5, 1.0, 2.0, 37.5, 400.0):
-            assert coef_for_t(t_for_coef(c)) == pytest.approx(c, rel=1e-12)
+            assert Schedule.coef_ratio(Schedule.t_for_coef(c)) == pytest.approx(c, rel=1e-12)
 
     def test_known_value(self):
-        assert coef_for_t(0.5) == 2.0
-        assert t_for_coef(2.0) == pytest.approx(0.5)
+        assert Schedule.coef_ratio(0.5) == 2.0
+        assert Schedule.t_for_coef(2.0) == pytest.approx(0.5)
 
 
 class TestDecayStudy:
@@ -99,7 +106,7 @@ class TestDecayStudy:
         cs = np.linspace(5.0, 40.0, 12)
         norms = []
         for c in cs:
-            t = t_for_coef(c)
+            t = Schedule.t_for_coef(c)
             sig_theta, _ = denoiser_jacobians(np.zeros((1, 2)), x, t, sched)
             norms.append(operator_norm(sig_theta[0]))
         norms = np.array(norms)

@@ -14,7 +14,6 @@ from redge.diffusion import (
     VAR_FLOOR,
     TrajectoryNoise,
     ddim_step,
-    ddim_stochastic_step,
     denoiser,
     denoiser_cov,
     denoiser_jacobians,
@@ -203,7 +202,7 @@ class TestStochasticStep:
         d = tape.constant(rng.dirichlet(np.ones(3), size=2))
         x = tape.constant(rng.normal(size=(2, 3)))
         a = ddim_step(1 / 3, 2 / 3, x, d, sched)
-        b = ddim_stochastic_step(1 / 3, 2 / 3, x, d, sched, rng.normal(size=(2, 3)))
+        b = ddim_step(1 / 3, 2 / 3, x, d, sched, rng.normal(size=(2, 3)))
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_full_eta_renoises_completely(self):
@@ -214,13 +213,20 @@ class TestStochasticStep:
         x = tape.constant(rng.normal(size=(1, 3)))
         z = rng.normal(size=(1, 3))
         s, t = 1 / 3, 2 / 3
-        out = ddim_stochastic_step(s, t, x, d, sched, z)
+        out = ddim_step(s, t, x, d, sched, z)
         np.testing.assert_allclose(
             out.value, sched.alpha(s) * d.value + sched.sigma(s) * z, atol=1e-12)
 
-    def test_eta_exceeding_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            linear_schedule(4, eta=lambda t: 2.0 * t)
+    def test_unknown_eta_rejected(self):
+        with pytest.raises(ValueError, match="unknown eta"):
+            linear_schedule(4, eta="bogus")
+
+    def test_noisy_step_needs_z(self):
+        sched = linear_schedule(4, eta="half")
+        tape = Tape()
+        d = tape.constant(np.full((1, 2), 0.5))
+        with pytest.raises(ValueError, match="needs its noise"):
+            ddim_step(1 / 3, 2 / 3, d, d, sched)
 
     def test_marginal_fidelity_desk_scale(self):
         # Hard-sample law at the end of the half-noise chain stays within

@@ -61,6 +61,12 @@ class TestConfig:
             EstimatorConfig(kind="gs-st", tau=0.0)
         with pytest.raises(ValueError):
             EstimatorConfig(kind="redge", t1=1.5)
+        with pytest.raises(ValueError):
+            EstimatorConfig(kind="st", t1=1.5)
+        with pytest.raises(ValueError, match="unknown eta"):
+            EstimatorConfig(kind="redge", eta="bogus")
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            EstimatorConfig(kind="redge", steps=3, t1=1.0)
 
     def test_schedule_uses_t1(self):
         cfg = EstimatorConfig(kind="redge", steps=10, t1=0.5)

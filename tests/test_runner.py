@@ -79,3 +79,20 @@ def test_stream_layout_of_the_initial_parameters():
     assert result.trace == []
     want = exact_polyprog_loss(FactorizedCategorical(logits).probs, problem)
     assert result.summary["final_loss"] == want
+
+
+def test_short_sudoku_runs_share_no_stream(monkeypatch):
+    # The Monte-Carlo, summary and init streams all differ, also when steps <= 3.
+    states = []
+    real = runner._mc_hard_loss
+
+    def recording(batch, logits, draws, rng):
+        states.append(rng.bit_generator.state)
+        return real(batch, logits, draws, rng)
+
+    monkeypatch.setattr(runner, "_mc_hard_loss", recording)
+    runner.run_benchmark(sudoku.generate_puzzles(1, 4), EstimatorConfig(kind="st"), 2, 11,
+                         mc_draws=2)
+    assert len(states) == 3
+    init = [runner._init_rng(11, tag).bit_generator.state for tag in (1, 2, 3)]
+    assert all(a != b for i, a in enumerate(states) for b in states[i + 1:] + init)
