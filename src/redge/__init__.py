@@ -9,7 +9,6 @@ from .categorical import (
     OneHotSample,
     exact_gradient,
     mean,
-    mixture_covariance_halfhalf,
     row_covariance,
     sample,
 )
@@ -24,7 +23,6 @@ from .diffusion import (
     denoiser_jacobians,
     draw_noise,
     linear_schedule,
-    mle_base,
     sample_trajectory,
     uniform_grid,
 )
@@ -33,14 +31,7 @@ from .estimators import (
     EstimatorConfig,
     GradientEstimate,
     estimate,
-    gumbel_softmax_st_grad,
-    redge_hard_grad,
-    redge_max_grad,
-    redge_soft_grad,
-    reinforce_grad,
-    reinmax_grad,
-    soft_st_grad,
-    st_grad,
+    estimate_for_sample,
 )
 from .analysis import (
     BiasVarianceReport,

@@ -6,23 +6,41 @@ caller's job).  Objectives are callables ``f(x: Node) -> Node`` producing a
 scalar node; they may lift named auxiliary leaves onto the node's tape, whose
 gradients are reported in ``GradientEstimate.aux_grads``.
 
-Randomness is split into two independent streams per call, one for Gaussian
-path noise and one for categorical draws, so that single-step diffusion
-estimators reproduce their classical counterparts exactly under a shared
-integer seed:
+All kinds run one pipeline, :func:`estimate`:
 
-    n=2 soft path   ==  straight-through on the mean,
-    n=2 hard path   ==  hard straight-through,
-    n=2 hard + trapezoidal correction  ==  ReinMax.
+1. **Draw** one sample: the path-noise stream of :func:`split_rng` drives
+   the diffusion chain, its categorical stream the hard draw.
+2. **Evaluate** f once, with :func:`eval_objective`, giving f and grad f.
+3. **Transport** grad f back to the logits.
 
-The classical formulas are written once, as plain array maps that accept
-leading (replication) axes: :func:`covariance_apply` (Cov(p) g, the
-straight-through and Gumbel-softmax transport), :func:`reinmax_apply` and
-:func:`reinforce_apply`.  The single-sample estimators here and the batched
-replications of ``analysis.bias_variance`` both call them.  :func:`estimate`
-dispatches through a table keyed by kind, from which ``ESTIMATOR_KINDS`` is
-derived; ``"redge-cov"`` shares ``redge_hard_grad`` with ``"redge"`` (the
-config's kind selects the moment-matched reference inside the trajectory).
+========== ================================ ============ ================================
+kind       draw                             f evaluated  transport
+========== ================================ ============ ================================
+st         Gumbel-max on the logits         hard sample  Cov(p) g
+reinmax    Gumbel-max on the logits         hard sample  :func:`reinmax_apply`
+gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the tempered
+                                                         softmax of the same perturbation
+reinforce  Gumbel-max on the logits         hard sample  :func:`reinforce_apply`
+redge      chain, then Gumbel-max on the    hard sample  one backward sweep along the
+           last denoiser output                          chain, seeded with g
+redge-cov  as redge, from the moment-       hard sample  as redge
+           matched Gaussian reference
+redge-max  as redge                         hard sample  as redge, then the last-step
+                                                         block becomes ReinMax
+redge-soft the chain's soft sample          soft sample  as redge
+========== ================================ ============ ================================
+
+Here g = grad f and p the probabilities.  The classical transports act on a
+given sample through :func:`estimate_for_sample` (the enumeration oracles
+call it); the formulas are plain array maps that accept leading
+(replication) axes, so ``analysis.bias_variance`` batches them too.
+
+Since the two streams are separate, under a shared integer seed the
+single-step chain reproduces the classical kinds exactly:
+
+    n=2 redge-soft  ==  straight-through on the mean,
+    n=2 redge       ==  hard straight-through,
+    n=2 redge-max   ==  ReinMax.
 """
 
 from __future__ import annotations
@@ -41,8 +59,10 @@ from .categorical import (
     sample_onehot_rows,
 )
 from .diffusion import Schedule, draw_noise, linear_schedule, sample_trajectory
-from .tensor import Tape, covariance_apply, grad_or_zero, softmax_rows, stable_softmax
+from .tensor import Tape, covariance_apply, grad_or_zero, stable_softmax
 
+ESTIMATOR_KINDS = ("st", "reinmax", "gs-st", "reinforce",
+                   "redge", "redge-soft", "redge-max", "redge-cov")
 _DIFFUSION_KINDS = frozenset({"redge", "redge-soft", "redge-max", "redge-cov"})
 
 
@@ -91,7 +111,6 @@ class GradientEstimate:
     hard_sample: Optional[OneHotSample] = None
     soft_sample: Optional[np.ndarray] = None
     aux_grads: dict = field(default_factory=dict)
-    steps: Optional[int] = None
 
 
 def split_rng(rng):
@@ -135,245 +154,68 @@ def reinforce_apply(p: np.ndarray, x: np.ndarray, values,
     return (np.asarray(values) - b)[..., None, None] * (x - p)
 
 
-# ---------------------------------------------------------------------------
-# Classical estimators
-# ---------------------------------------------------------------------------
+def estimate_for_sample(dist: FactorizedCategorical, f, config: EstimatorConfig,
+                        hard: OneHotSample, soft: Optional[np.ndarray] = None) -> GradientEstimate:
+    """Evaluate f at a given hard sample and apply a classical transport.
 
-
-def soft_st_grad(dist: FactorizedCategorical, f) -> GradientEstimate:
-    """Straight-through on the mean: differentiate f(probs) exactly."""
-    tape = Tape()
-    logits = tape.lift(dist.logits, requires_grad=True)
-    probs = softmax_rows(logits)
-    out = f(probs)
-    tape.backward(out)
-    return GradientEstimate(
-        grad=grad_or_zero(logits),
-        kind="soft-st",
-        objective_value=float(out.value[0, 0]),
-        soft_sample=probs.value,
-        aux_grads=tape.named_grads(),
-    )
-
-
-def st_estimate_for_sample(dist: FactorizedCategorical, f, hard: OneHotSample) -> GradientEstimate:
-    """Hard straight-through for a given sample: Cov(p) applied to grad f(X)."""
-    value, gx, aux = eval_objective(f, hard.onehot)
-    return GradientEstimate(
-        grad=covariance_apply(dist.probs, gx),
-        kind="st",
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=dist.probs.copy(),
-        aux_grads=aux,
-    )
-
-
-def st_grad(dist: FactorizedCategorical, f, rng) -> GradientEstimate:
-    _, cat_rng = split_rng(rng)
-    return st_estimate_for_sample(dist, f, sample(dist, cat_rng))
-
-
-def reinmax_estimate_for_sample(dist: FactorizedCategorical, f,
-                                hard: OneHotSample) -> GradientEstimate:
-    """Trapezoidal-corrected hard ST for a given sample.
-
-    Per row the transported cotangent is
-        1/2 * { Cov(p) + (x - p)(x - p)^T } grad f(x).
+    ``soft`` is the tempered softmax of the perturbed logits that drew
+    ``hard``, required for "gs-st" and ignored by the other kinds.
     """
+    kind, p = config.kind, dist.probs
+    if kind in _DIFFUSION_KINDS:
+        raise ValueError(f"kind {kind!r} transports along its chain; call estimate")
+    if kind == "gs-st" and soft is None:
+        raise ValueError("gs-st needs the tempered softmax of its perturbed logits")
     value, gx, aux = eval_objective(f, hard.onehot)
-    return GradientEstimate(
-        grad=reinmax_apply(dist.probs, hard.onehot, gx),
-        kind="reinmax",
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=dist.probs.copy(),
-        aux_grads=aux,
-    )
-
-
-def reinmax_estimate_standard_form(dist: FactorizedCategorical, f,
-                                   hard: OneHotSample) -> GradientEstimate:
-    """Equivalent ReinMax form: 2 Cov((p+x)/2) - Cov(p)/2 applied to grad f(x).
-
-    The half-and-half mixture of Cat(p) and the point mass at x is itself a
-    categorical with probability vector (p + x)/2, which makes the two forms
-    agree sample by sample.
-    """
-    value, gx, aux = eval_objective(f, hard.onehot)
-    p = dist.probs
-    q = 0.5 * (p + hard.onehot)
-    grad = 2.0 * covariance_apply(q, gx) - 0.5 * covariance_apply(p, gx)
-    return GradientEstimate(
-        grad=grad,
-        kind="reinmax",
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=p.copy(),
-        aux_grads=aux,
-    )
-
-
-def reinmax_grad(dist: FactorizedCategorical, f, rng) -> GradientEstimate:
-    _, cat_rng = split_rng(rng)
-    return reinmax_estimate_for_sample(dist, f, sample(dist, cat_rng))
-
-
-def gumbel_softmax_st_grad(dist: FactorizedCategorical, f, tau: float, rng) -> GradientEstimate:
-    """Gumbel-softmax with a straight-through forward.
-
-    The hard sample is the argmax of logits + Gumbel noise (so it follows the
-    categorical law exactly); the gradient is the tempered softmax Jacobian
-    of the same perturbed logits, Cov(s) grad f(X) / tau.
-    """
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
-    _, cat_rng = split_rng(rng)
-    g = gumbel_noise(dist.logits.shape, cat_rng)
-    # The hard sample comes from the same Gumbel draw that drives the soft map.
-    hard = onehot_from_indices(np.argmax(dist.logits + g, axis=1), dist.categories)
-    value, gx, aux = eval_objective(f, hard.onehot)
-    inv_tau = 1.0 / tau
-    soft = stable_softmax((dist.logits + g) * inv_tau)
-    return GradientEstimate(
-        grad=covariance_apply(soft, gx) * inv_tau,
-        kind="gs-st",
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=soft,
-        aux_grads=aux,
-    )
-
-
-def reinforce_estimate_for_sample(dist: FactorizedCategorical, f, hard: OneHotSample,
-                                  baseline: Optional[float] = None) -> GradientEstimate:
-    """Score-function estimate (f(X) - b) * (X - p) for a given sample."""
-    value, _, aux = eval_objective(f, hard.onehot)
-    return GradientEstimate(
-        grad=reinforce_apply(dist.probs, hard.onehot, value, baseline),
-        kind="reinforce",
-        objective_value=value,
-        hard_sample=hard,
-        aux_grads=aux,
-    )
-
-
-def reinforce_grad(dist: FactorizedCategorical, f, rng,
-                   baseline: Optional[float] = None) -> GradientEstimate:
-    _, cat_rng = split_rng(rng)
-    return reinforce_estimate_for_sample(dist, f, sample(dist, cat_rng), baseline)
-
-
-# ---------------------------------------------------------------------------
-# Diffusion-based estimators
-# ---------------------------------------------------------------------------
-
-
-def _trajectory_for(dist: FactorizedCategorical, config: EstimatorConfig, rng):
-    noise_rng, cat_rng = split_rng(rng)
-    schedule = config.schedule()
-    tape = Tape()
-    logits = tape.lift(dist.logits, requires_grad=True)
-    noise = draw_noise(schedule, dist.length, dist.categories, noise_rng)
-    base = "mle" if config.kind == "redge-cov" else None
-    traj = sample_trajectory(logits, schedule, noise, base=base,
-                             base_backprop=config.base_backprop)
-    return tape, logits, traj, schedule, cat_rng
-
-
-def redge_soft_grad(dist: FactorizedCategorical, f, config: EstimatorConfig,
-                    rng) -> GradientEstimate:
-    """Pathwise gradient through the full relaxed trajectory."""
-    tape, logits, traj, _, _ = _trajectory_for(dist, config, rng)
-    out = f(traj.soft_sample)
-    tape.backward(out)
-    return GradientEstimate(
-        grad=grad_or_zero(logits),
-        kind=config.kind,
-        objective_value=float(out.value[0, 0]),
-        soft_sample=traj.soft_sample.value,
-        aux_grads=tape.named_grads(),
-        steps=config.steps,
-    )
-
-
-def _hard_diffusion_estimate(dist: FactorizedCategorical, f, config: EstimatorConfig, rng):
-    """Shared machinery for the hard diffusion estimators.
-
-    The hard sample is drawn once, from the denoiser probabilities at the
-    earliest positive timestep; the gradient is the transported cotangent
-    of f at that sample, realized as a backward pass along the soft
-    path seeded with stop_grad(grad f(X0)).
-    """
-    tape, logits, traj, schedule, cat_rng = _trajectory_for(dist, config, rng)
-    probs_last = traj.final_denoiser.value
-    with np.errstate(divide="ignore"):
-        log_last = np.log(probs_last)
-    hard = sample_onehot_rows(log_last, cat_rng)
-    value, gx, aux = eval_objective(f, hard.onehot)
-    tape.backward(traj.soft_sample, seed=gx)
-    grad = grad_or_zero(logits)
-    return grad, value, hard, probs_last, gx, aux, traj
-
-
-def redge_hard_grad(dist: FactorizedCategorical, f, config: EstimatorConfig,
-                    rng) -> GradientEstimate:
-    grad, value, hard, probs_last, _, aux, traj = _hard_diffusion_estimate(dist, f, config, rng)
-    return GradientEstimate(
-        grad=grad,
-        kind=config.kind,
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=traj.soft_sample.value,
-        aux_grads=aux,
-        steps=config.steps,
-    )
-
-
-def redge_max_grad(dist: FactorizedCategorical, f, config: EstimatorConfig,
-                   rng) -> GradientEstimate:
-    """Hard diffusion gradient with the last-step block upgraded to ReinMax.
-
-    The hard-path gradient splits at the final transition into a direct
-    logits term, Cov(d) grad f(X0) with d the last denoiser output, plus the
-    term transported through the earlier states.  The direct term is replaced
-    by the trapezoidal block 1/2 {Cov(d) + (X0-d)(X0-d)^T} grad f(X0); the
-    transported term is kept as is.
-    """
-    grad, value, hard, d_last, gx, aux, traj = _hard_diffusion_estimate(dist, f, config, rng)
-    delta = hard.onehot - d_last
-    correction = 0.5 * (delta * (delta * gx).sum(axis=1, keepdims=True)
-                        - covariance_apply(d_last, gx))
-    return GradientEstimate(
-        grad=grad + correction,
-        kind=config.kind,
-        objective_value=value,
-        hard_sample=hard,
-        soft_sample=traj.soft_sample.value,
-        aux_grads=aux,
-        steps=config.steps,
-    )
-
-
-# kind -> estimator(dist, f, config, rng); "redge-cov" is the hard path, whose
-# trajectory starts from the moment-matched reference for that kind.
-_ESTIMATORS = {
-    "st": lambda dist, f, config, rng: st_grad(dist, f, rng),
-    "reinmax": lambda dist, f, config, rng: reinmax_grad(dist, f, rng),
-    "gs-st": lambda dist, f, config, rng: gumbel_softmax_st_grad(dist, f, config.tau, rng),
-    "reinforce": lambda dist, f, config, rng: reinforce_grad(dist, f, rng, config.baseline),
-    "redge": redge_hard_grad,
-    "redge-soft": redge_soft_grad,
-    "redge-max": redge_max_grad,
-    "redge-cov": redge_hard_grad,
-}
-
-ESTIMATOR_KINDS = tuple(_ESTIMATORS)
+    if kind == "st":
+        grad, soft = covariance_apply(p, gx), p.copy()
+    elif kind == "reinmax":
+        grad, soft = reinmax_apply(p, hard.onehot, gx), p.copy()
+    elif kind == "gs-st":
+        grad = covariance_apply(soft, gx) * (1.0 / config.tau)
+    else:
+        grad, soft = reinforce_apply(p, hard.onehot, value, config.baseline), None
+    return GradientEstimate(grad, kind, value, hard, soft, aux)
 
 
 def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
              rng=None) -> GradientEstimate:
-    """Dispatch on ``config.kind``; ``rng`` defaults to ``config.seed``."""
-    if config.kind not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator kind {config.kind!r}")
-    return _ESTIMATORS[config.kind](dist, f, config, config.seed if rng is None else rng)
+    """Draw, evaluate f once, transport; ``rng`` defaults to ``config.seed``."""
+    kind = config.kind
+    noise_rng, cat_rng = split_rng(config.seed if rng is None else rng)
+    if kind == "gs-st":
+        # The hard sample comes from the same Gumbel draw that drives the soft map.
+        g = gumbel_noise(dist.logits.shape, cat_rng)
+        hard = onehot_from_indices(np.argmax(dist.logits + g, axis=1), dist.categories)
+        soft = stable_softmax((dist.logits + g) * (1.0 / config.tau))
+        return estimate_for_sample(dist, f, config, hard, soft)
+    if kind not in _DIFFUSION_KINDS:
+        return estimate_for_sample(dist, f, config, sample(dist, cat_rng))
+
+    # The chain runs on a tape so that its sweep can carry grad f back.
+    schedule = config.schedule()
+    tape = Tape()
+    logits = tape.lift(dist.logits, requires_grad=True)
+    noise = draw_noise(schedule, dist.length, dist.categories, noise_rng)
+    traj = sample_trajectory(logits, schedule, noise,
+                             base="mle" if kind == "redge-cov" else None,
+                             base_backprop=config.base_backprop)
+    soft, d_last = traj.soft_sample.value, traj.final_denoiser.value
+    hard = None
+    if kind != "redge-soft":
+        # One hard draw, from the denoiser at the earliest positive timestep.
+        with np.errstate(divide="ignore"):
+            hard = sample_onehot_rows(np.log(d_last), cat_rng)
+    value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
+    tape.backward(traj.soft_sample, seed=gx)
+    grad = grad_or_zero(logits)
+    if kind == "redge-max":
+        # The sweep's gradient splits at the final transition into a direct
+        # logits term, Cov(d) g with d the last denoiser output, plus the term
+        # transported through the earlier states.  The direct term becomes the
+        # trapezoidal block 1/2 {Cov(d) + (X0-d)(X0-d)^T} g; the transported
+        # term is kept as is.
+        delta = hard.onehot - d_last
+        grad = grad + 0.5 * (delta * (delta * gx).sum(axis=1, keepdims=True)
+                             - covariance_apply(d_last, gx))
+    return GradientEstimate(grad, kind, value, hard, soft, aux)

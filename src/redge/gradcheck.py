@@ -28,21 +28,13 @@ from .categorical import (
 )
 from .estimators import (
     EstimatorConfig,
+    covariance_apply,
+    estimate,
+    estimate_for_sample,
     eval_objective,
-    gumbel_softmax_st_grad,
-    redge_hard_grad,
-    redge_max_grad,
-    redge_soft_grad,
-    reinforce_estimate_for_sample,
-    reinmax_estimate_for_sample,
-    reinmax_estimate_standard_form,
-    reinmax_grad,
-    soft_st_grad,
     split_rng,
-    st_estimate_for_sample,
-    st_grad,
 )
-from .tensor import Tape, finite_diff_gradient, jacobian, stable_softmax
+from .tensor import Tape, finite_diff_gradient, grad_or_zero, jacobian, softmax_rows, stable_softmax
 
 
 @dataclass
@@ -78,8 +70,36 @@ def _compare(name, got, want, tol, relative=True) -> CheckResult:
     )
 
 
+_ST, _REINMAX, _REINFORCE = (EstimatorConfig(kind=k) for k in ("st", "reinmax", "reinforce"))
+
+
 def _random_dist(rng, length=2, categories=3, scale=1.5) -> FactorizedCategorical:
     return FactorizedCategorical(scale * rng.standard_normal((length, categories)))
+
+
+# ---------------------------------------------------------------------------
+# Reference forms
+# ---------------------------------------------------------------------------
+
+
+def soft_st_gradient(dist: FactorizedCategorical, f) -> np.ndarray:
+    """Straight-through on the mean: the exact gradient of f(probs)."""
+    tape = Tape()
+    logits = tape.lift(dist.logits, requires_grad=True)
+    tape.backward(f(softmax_rows(logits)))
+    return grad_or_zero(logits)
+
+
+def reinmax_standard_form(dist: FactorizedCategorical, f, hard) -> np.ndarray:
+    """ReinMax as 2 Cov((p+x)/2) - Cov(p)/2 applied to grad f(x).
+
+    The half-and-half mixture of Cat(p) and the point mass at x is itself a
+    categorical with probability vector (p + x)/2, which makes this form agree
+    sample by sample with the trapezoidal one of ``estimators.reinmax_apply``.
+    """
+    gx = eval_objective(f, hard.onehot)[1]
+    p = dist.probs
+    return 2.0 * covariance_apply(0.5 * (p + hard.onehot), gx) - 0.5 * covariance_apply(p, gx)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +177,8 @@ def check_reduction_soft(seed: int) -> CheckResult:
     dist = _random_dist(rng)
     f = random_cubic(rng, 2, 3)
     cfg = EstimatorConfig(kind="redge-soft", steps=2)
-    got = redge_soft_grad(dist, f, cfg, seed).grad
-    want = soft_st_grad(dist, f).grad
+    got = estimate(dist, f, cfg, seed).grad
+    want = soft_st_gradient(dist, f)
     return _compare(f"reduction_soft_st[seed={seed}]", got, want, 1e-12)
 
 
@@ -167,8 +187,8 @@ def check_reduction_hard(seed: int) -> CheckResult:
     dist = _random_dist(rng)
     f = random_cubic(rng, 2, 3)
     cfg = EstimatorConfig(kind="redge", steps=2)
-    got = redge_hard_grad(dist, f, cfg, seed).grad
-    want = st_grad(dist, f, seed).grad
+    got = estimate(dist, f, cfg, seed).grad
+    want = estimate(dist, f, _ST, seed).grad
     return _compare(f"reduction_hard_st[seed={seed}]", got, want, 1e-12)
 
 
@@ -177,8 +197,8 @@ def check_reduction_reinmax(seed: int) -> CheckResult:
     dist = _random_dist(rng)
     f = random_cubic(rng, 2, 3)
     cfg = EstimatorConfig(kind="redge-max", steps=2)
-    got = redge_max_grad(dist, f, cfg, seed).grad
-    want = reinmax_grad(dist, f, seed).grad
+    got = estimate(dist, f, cfg, seed).grad
+    want = estimate(dist, f, _REINMAX, seed).grad
     return _compare(f"reduction_reinmax[seed={seed}]", got, want, 1e-12)
 
 
@@ -192,8 +212,8 @@ def check_reinmax_dual_form(seed: int, samples: int = 200) -> CheckResult:
         dist = _random_dist(rng, length=int(rng.integers(1, 3)), categories=int(rng.integers(2, 5)))
         f = random_cubic(rng, dist.length, dist.categories)
         hard = sample(dist, rng)
-        a = reinmax_estimate_for_sample(dist, f, hard).grad
-        b = reinmax_estimate_standard_form(dist, f, hard).grad
+        a = estimate_for_sample(dist, f, _REINMAX, hard).grad
+        b = reinmax_standard_form(dist, f, hard)
         err = np.abs(a - b).max()
         if err >= worst:
             worst = err
@@ -209,10 +229,10 @@ def check_reinmax_dual_form(seed: int, samples: int = 200) -> CheckResult:
     )
 
 
-def _enumerated_mean(dist, f, for_sample):
+def _enumerated_mean(dist, f, config):
     mean_grad = np.zeros_like(dist.logits)
     for s in enumerate_onehots(dist.length, dist.categories):
-        mean_grad += joint_probability(dist, s) * for_sample(dist, f, s).grad
+        mean_grad += joint_probability(dist, s) * estimate_for_sample(dist, f, config, s).grad
     return mean_grad
 
 
@@ -220,7 +240,7 @@ def check_unbiased_st_linear(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     dist = _random_dist(rng, length=2, categories=3)
     f = random_linear(rng, 2, 3)
-    got = _enumerated_mean(dist, f, st_estimate_for_sample)
+    got = _enumerated_mean(dist, f, _ST)
     want = exact_gradient(dist, f)
     return _compare(f"unbiased_st_linear[seed={seed}]", got, want, 1e-10, relative=False)
 
@@ -229,7 +249,7 @@ def check_unbiased_reinmax_quadratic(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     dist = _random_dist(rng, length=2, categories=3)
     f = random_quadratic(rng, 2, 3)
-    got = _enumerated_mean(dist, f, reinmax_estimate_for_sample)
+    got = _enumerated_mean(dist, f, _REINMAX)
     want = exact_gradient(dist, f)
     return _compare(f"unbiased_reinmax_quadratic[seed={seed}]", got, want, 1e-9, relative=False)
 
@@ -238,7 +258,7 @@ def check_unbiased_reinforce_cubic(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     dist = _random_dist(rng, length=2, categories=3)
     f = random_cubic(rng, 2, 3)
-    got = _enumerated_mean(dist, f, reinforce_estimate_for_sample)
+    got = _enumerated_mean(dist, f, _REINFORCE)
     want = exact_gradient(dist, f)
     return _compare(f"unbiased_reinforce_cubic[seed={seed}]", got, want, 1e-9, relative=False)
 
@@ -271,8 +291,8 @@ def check_mle_base_moments(seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def pathwise_fd_pair(kind: str, dist: FactorizedCategorical, f,
-                     config: EstimatorConfig, seed: int, h: float = 1e-5):
+def pathwise_fd_pair(dist: FactorizedCategorical, f, config: EstimatorConfig,
+                     seed: int, h: float = 1e-5):
     """Estimator gradient and its frozen-noise finite-difference oracle.
 
     Hard-forward estimators are linear in the transported cotangent, so their
@@ -280,18 +300,16 @@ def pathwise_fd_pair(kind: str, dist: FactorizedCategorical, f,
     the noise and the hard sample frozen; the soft estimator differentiates
     the full objective along the frozen path.
     """
-    length, categories = dist.length, dist.categories
+    kind, length, categories = config.kind, dist.length, dist.categories
+    est = estimate(dist, f, config, seed)
     if kind == "st":
-        est = st_grad(dist, f, seed)
         gx = eval_objective(f, est.hard_sample.onehot)[1]
         frozen = lambda la: float((stable_softmax(la) * gx).sum())
     elif kind == "gs-st":
-        est = gumbel_softmax_st_grad(dist, f, config.tau, seed)
         g = gumbel_noise(dist.logits.shape, split_rng(seed)[1])
         gx = eval_objective(f, est.hard_sample.onehot)[1]
         frozen = lambda la: float((stable_softmax((la + g) / config.tau) * gx).sum())
     elif kind == "redge-soft":
-        est = redge_soft_grad(dist, f, config, seed)
         schedule = config.schedule()
         noise = diffusion.draw_noise(schedule, length, categories, split_rng(seed)[0])
 
@@ -300,7 +318,6 @@ def pathwise_fd_pair(kind: str, dist: FactorizedCategorical, f,
             traj = diffusion.sample_trajectory(tape.constant(la), schedule, noise)
             return float(f(traj.soft_sample).value[0, 0])
     elif kind in ("redge", "redge-cov"):
-        est = redge_hard_grad(dist, f, config, seed)
         schedule = config.schedule()
         noise = diffusion.draw_noise(schedule, length, categories, split_rng(seed)[0])
         gx = eval_objective(f, est.hard_sample.onehot)[1]
@@ -343,7 +360,7 @@ def check_pathwise_fd(seed: int) -> list:
         dist = _random_dist(rng, length=2, categories=3)
         f = random_cubic(rng, 2, 3)
         config = EstimatorConfig(kind=kind, **overrides)
-        got, want = pathwise_fd_pair(kind, dist, f, config, seed)
+        got, want = pathwise_fd_pair(dist, f, config, seed)
         tag = "".join(f",{k}={v}" for k, v in overrides.items())
         results.append(_compare(f"pathwise_fd_{kind}{tag}[seed={seed}]", got, want, 1e-5))
     return results

@@ -330,6 +330,11 @@ class Tape:
     A tape is built once per estimation call and never reused across calls.
     Leaves created with a ``name`` can be looked up afterwards to read their
     gradients (used for auxiliary parameters threaded through objectives).
+
+    Each node refers back to its tape, so every tape is a reference cycle: it
+    is freed by the cyclic garbage collector rather than when its last outside
+    reference goes, and the peak memory of a loop that builds many large tapes
+    depends on when that collector runs.
     """
 
     def __init__(self):

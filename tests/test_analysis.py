@@ -24,12 +24,7 @@ from redge.categorical import (
     onehot_from_indices,
 )
 from redge.diffusion import Schedule, denoiser_jacobians, linear_schedule
-from redge.estimators import (
-    EstimatorConfig,
-    reinforce_estimate_for_sample,
-    reinmax_estimate_for_sample,
-    st_estimate_for_sample,
-)
+from redge.estimators import EstimatorConfig, estimate_for_sample
 
 
 class TestMargin:
@@ -200,11 +195,10 @@ class TestBiasVariance:
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
         from redge.categorical import enumerate_onehots, joint_probability
-        from redge.estimators import st_estimate_for_sample
         want = np.zeros_like(dist.logits)
         second = 0.0
         for s in enumerate_onehots(2, 3):
-            g = st_estimate_for_sample(dist, f, s).grad
+            g = estimate_for_sample(dist, f, EstimatorConfig(kind="st"), s).grad
             w = joint_probability(dist, s)
             want += w * g
             second += w * float((g**2).sum())
@@ -228,14 +222,12 @@ class TestBiasVariance:
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
         noise = gumbel_noise((20, 2, 3), np.random.default_rng(14))
-        singles = {"st": st_estimate_for_sample, "reinmax": reinmax_estimate_for_sample,
-                   "reinforce": reinforce_estimate_for_sample}
-        for kind, single in singles.items():
-            grads = _batched_single_shot(EstimatorConfig(kind=kind), dist, f, 20,
-                                         np.random.default_rng(14))
+        for kind in ("st", "reinmax", "reinforce"):
+            config = EstimatorConfig(kind=kind)
+            grads = _batched_single_shot(config, dist, f, 20, np.random.default_rng(14))
             for r in range(20):
                 hard = onehot_from_indices(np.argmax(dist.logits + noise[r], axis=1), 3)
-                np.testing.assert_allclose(grads[r], single(dist, f, hard).grad,
+                np.testing.assert_allclose(grads[r], estimate_for_sample(dist, f, config, hard).grad,
                                            rtol=1e-12, atol=1e-14)
 
 

@@ -18,7 +18,9 @@ from redge.categorical import (
     row_covariance,
     sample,
 )
-from redge.estimators import reinforce_estimate_for_sample
+from redge.estimators import EstimatorConfig, estimate_for_sample
+
+REINFORCE = EstimatorConfig(kind="reinforce")
 
 
 def linear_f(c):
@@ -170,7 +172,7 @@ class TestScoreIdentity:
             exact = exact_gradient(dist, f)
             mean_grad = np.zeros_like(exact)
             for s in enumerate_onehots(length, k):
-                est = reinforce_estimate_for_sample(dist, f, s)
+                est = estimate_for_sample(dist, f, REINFORCE, s)
                 mean_grad += joint_probability(dist, s) * est.grad
             np.testing.assert_allclose(mean_grad, exact, atol=1e-10)
 
@@ -179,7 +181,7 @@ class TestScoreIdentity:
         f = lambda x: x.tape.constant([[2.0]])
         mean_grad = np.zeros((1, 3))
         for s in enumerate_onehots(1, 3):
-            mean_grad += joint_probability(dist, s) * reinforce_estimate_for_sample(dist, f, s).grad
+            mean_grad += joint_probability(dist, s) * estimate_for_sample(dist, f, REINFORCE, s).grad
         np.testing.assert_allclose(mean_grad, 0.0, atol=1e-14)
 
     def test_baseline_leaves_mean_unchanged(self):
@@ -190,8 +192,8 @@ class TestScoreIdentity:
         without_b = np.zeros((2, 3))
         for s in enumerate_onehots(2, 3):
             w = joint_probability(dist, s)
-            without_b += w * reinforce_estimate_for_sample(dist, f, s).grad
-            with_b += w * reinforce_estimate_for_sample(dist, f, s, baseline=1.7).grad
+            without_b += w * estimate_for_sample(dist, f, REINFORCE, s).grad
+            with_b += w * estimate_for_sample(dist, f, EstimatorConfig(kind="reinforce", baseline=1.7), s).grad
         np.testing.assert_allclose(with_b, without_b, atol=1e-12)
 
 

@@ -18,21 +18,9 @@ from redge.estimators import (
     EstimatorConfig,
     covariance_apply,
     estimate,
-    eval_objective,
-    gumbel_softmax_st_grad,
-    redge_hard_grad,
-    redge_max_grad,
-    redge_soft_grad,
-    reinforce_grad,
-    reinmax_estimate_for_sample,
-    reinmax_estimate_standard_form,
-    reinmax_grad,
-    soft_st_grad,
-    split_rng,
-    st_estimate_for_sample,
-    st_grad,
+    estimate_for_sample,
 )
-from redge.gradcheck import pathwise_fd_pair
+from redge.gradcheck import pathwise_fd_pair, reinmax_standard_form, soft_st_gradient
 from redge.tensor import Tape
 
 
@@ -40,10 +28,13 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12)
 
 
-def enumerated_mean(dist, f, for_sample):
+ST, REINMAX, REINFORCE = (EstimatorConfig(kind=k) for k in ("st", "reinmax", "reinforce"))
+
+
+def enumerated_mean(dist, f, config):
     out = np.zeros_like(dist.logits)
     for s in enumerate_onehots(dist.length, dist.categories):
-        out += joint_probability(dist, s) * for_sample(dist, f, s).grad
+        out += joint_probability(dist, s) * estimate_for_sample(dist, f, config, s).grad
     return out
 
 
@@ -78,7 +69,7 @@ class TestStraightThrough:
         # p = (1/2, 1/2), f = sum of squares, hard sample e1:
         # grad f = (2, 0); Cov(p) grad = (0.5, -0.5).
         dist = FactorizedCategorical([[0.0, 0.0]])
-        est = st_estimate_for_sample(dist, sum_of_squares, onehot_from_indices([0], 2))
+        est = estimate_for_sample(dist, sum_of_squares, ST, onehot_from_indices([0], 2))
         np.testing.assert_allclose(est.grad, [[0.5, -0.5]], atol=1e-14)
         assert est.objective_value == 1.0
 
@@ -87,21 +78,21 @@ class TestStraightThrough:
         for _ in range(5):
             dist = FactorizedCategorical(rng.normal(size=(2, 3)))
             f = random_linear(rng, 2, 3)
-            got = enumerated_mean(dist, f, st_estimate_for_sample)
+            got = enumerated_mean(dist, f, ST)
             np.testing.assert_allclose(got, exact_gradient(dist, f), atol=1e-10)
 
     def test_degenerate_distribution_zero_grad(self):
         dist = FactorizedCategorical([[200.0, 0.0], [0.0, 200.0]])
-        est = st_grad(dist, sum_of_squares, 0)
+        est = estimate(dist, sum_of_squares, ST, 0)
         np.testing.assert_allclose(est.grad, 0.0, atol=1e-12)
 
     def test_soft_st_matches_covariance_formula(self):
         rng = np.random.default_rng(1)
         dist = FactorizedCategorical(rng.normal(size=(3, 4)))
         f = random_cubic(rng, 3, 4)
-        est = soft_st_grad(dist, f)
+        got = soft_st_gradient(dist, f)
         want = covariance_apply(dist.probs, f.grad(dist.probs))
-        np.testing.assert_allclose(est.grad, want, atol=1e-12)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestReinMax:
@@ -111,8 +102,8 @@ class TestReinMax:
             dist = FactorizedCategorical(rng.normal(size=(2, 3)))
             f = random_cubic(rng, 2, 3)
             hard = sample(dist, rng)
-            a = reinmax_estimate_for_sample(dist, f, hard).grad
-            b = reinmax_estimate_standard_form(dist, f, hard).grad
+            a = estimate_for_sample(dist, f, REINMAX, hard).grad
+            b = reinmax_standard_form(dist, f, hard)
             assert np.abs(a - b).max() <= 1e-12
 
     def test_exact_for_quadratics(self):
@@ -121,12 +112,12 @@ class TestReinMax:
             for categories in (2, 3, 4):
                 dist = FactorizedCategorical(rng.normal(size=(length, categories)))
                 f = random_quadratic(rng, length, categories)
-                got = enumerated_mean(dist, f, reinmax_estimate_for_sample)
+                got = enumerated_mean(dist, f, REINMAX)
                 np.testing.assert_allclose(got, exact_gradient(dist, f), atol=1e-9)
 
     def test_degenerate_distribution_zero_grad(self):
         dist = FactorizedCategorical([[200.0, 0.0]])
-        est = reinmax_estimate_for_sample(dist, sum_of_squares, onehot_from_indices([0], 2))
+        est = estimate_for_sample(dist, sum_of_squares, REINMAX, onehot_from_indices([0], 2))
         np.testing.assert_allclose(est.grad, 0.0, atol=1e-12)
 
 
@@ -136,7 +127,7 @@ class TestGumbelSoftmaxST:
         draws = 100_000
         logits = np.array([[0.5, -0.3, 0.9]])
         dist = FactorizedCategorical(np.tile(logits, (draws, 1)))
-        est = gumbel_softmax_st_grad(dist, lambda x: x.sum(), 1.0, 7)
+        est = estimate(dist, lambda x: x.sum(), EstimatorConfig(kind="gs-st", tau=1.0), 7)
         counts = np.bincount(est.hard_sample.indices, minlength=3) / draws
         target = FactorizedCategorical(logits).probs[0]
         assert 0.5 * np.abs(counts - target).sum() <= 0.02
@@ -145,15 +136,15 @@ class TestGumbelSoftmaxST:
         rng = np.random.default_rng(4)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        small = gumbel_softmax_st_grad(dist, f, 1.0, 11).grad
-        large = gumbel_softmax_st_grad(dist, f, 1e6, 11).grad
+        small = estimate(dist, f, EstimatorConfig(kind="gs-st", tau=1.0), 11).grad
+        large = estimate(dist, f, EstimatorConfig(kind="gs-st", tau=1e6), 11).grad
         assert np.linalg.norm(large) <= 1e-4 * max(np.linalg.norm(small), 1e-8)
 
     def test_fixed_noise_finite_differences(self):
         rng = np.random.default_rng(5)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        got, want = pathwise_fd_pair("gs-st", dist, f, EstimatorConfig(kind="gs-st", tau=0.6), 13)
+        got, want = pathwise_fd_pair(dist, f, EstimatorConfig(kind="gs-st", tau=0.6), 13)
         assert rel_err(got, want) <= 1e-5
 
 
@@ -162,8 +153,7 @@ class TestReinforce:
         rng = np.random.default_rng(6)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        from redge.estimators import reinforce_estimate_for_sample
-        got = enumerated_mean(dist, f, reinforce_estimate_for_sample)
+        got = enumerated_mean(dist, f, REINFORCE)
         np.testing.assert_allclose(got, exact_gradient(dist, f), atol=1e-9)
 
     def test_baseline_field_respected(self):
@@ -184,21 +174,21 @@ class TestReductionIdentities:
 
     def test_soft_reduces_to_soft_st(self):
         cfg = EstimatorConfig(kind="redge-soft", steps=2)
-        a = redge_soft_grad(self.dist, self.f, cfg, 21).grad
-        b = soft_st_grad(self.dist, self.f).grad
+        a = estimate(self.dist, self.f, cfg, 21).grad
+        b = soft_st_gradient(self.dist, self.f)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_hard_reduces_to_hard_st(self):
         cfg = EstimatorConfig(kind="redge", steps=2)
-        a = redge_hard_grad(self.dist, self.f, cfg, 22)
-        b = st_grad(self.dist, self.f, 22)
+        a = estimate(self.dist, self.f, cfg, 22)
+        b = estimate(self.dist, self.f, ST, 22)
         np.testing.assert_array_equal(a.hard_sample.indices, b.hard_sample.indices)
         assert np.abs(a.grad - b.grad).max() <= 1e-12
 
     def test_max_reduces_to_reinmax(self):
         cfg = EstimatorConfig(kind="redge-max", steps=2)
-        a = redge_max_grad(self.dist, self.f, cfg, 23)
-        b = reinmax_grad(self.dist, self.f, 23)
+        a = estimate(self.dist, self.f, cfg, 23)
+        b = estimate(self.dist, self.f, REINMAX, 23)
         np.testing.assert_array_equal(a.hard_sample.indices, b.hard_sample.indices)
         assert np.abs(a.grad - b.grad).max() <= 1e-12
 
@@ -213,21 +203,20 @@ class TestRedgeEstimators:
         rng = np.random.default_rng(9)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        got, want = pathwise_fd_pair(
-            "redge-soft", dist, f, EstimatorConfig(kind="redge-soft", steps=4), 31)
+        got, want = pathwise_fd_pair(dist, f, EstimatorConfig(kind="redge-soft", steps=4), 31)
         assert rel_err(got, want) <= 1e-5
 
     def test_soft_constant_objective_zero_grad(self):
         dist = FactorizedCategorical([[0.1, -0.4, 0.2]])
         cfg = EstimatorConfig(kind="redge-soft", steps=4)
-        est = redge_soft_grad(dist, lambda x: x.tape.constant([[5.0]]), cfg, 1)
+        est = estimate(dist, lambda x: x.tape.constant([[5.0]]), cfg, 1)
         np.testing.assert_allclose(est.grad, 0.0, atol=1e-14)
 
     def test_hard_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        got, want = pathwise_fd_pair("redge", dist, f, EstimatorConfig(kind="redge", steps=5), 32)
+        got, want = pathwise_fd_pair(dist, f, EstimatorConfig(kind="redge", steps=5), 32)
         assert rel_err(got, want) <= 1e-5
 
     def test_hard_equals_soft_for_linear_f(self):
@@ -238,14 +227,14 @@ class TestRedgeEstimators:
         f = random_linear(rng, 2, 3)
         cfg_soft = EstimatorConfig(kind="redge-soft", steps=4)
         cfg_hard = EstimatorConfig(kind="redge", steps=4)
-        a = redge_soft_grad(dist, f, cfg_soft, 33).grad
-        b = redge_hard_grad(dist, f, cfg_hard, 33).grad
+        a = estimate(dist, f, cfg_soft, 33).grad
+        b = estimate(dist, f, cfg_hard, 33).grad
         np.testing.assert_array_equal(a, b)
 
     def test_hard_degenerate_distribution_zero(self):
         dist = FactorizedCategorical([[300.0, 0.0]])
         cfg = EstimatorConfig(kind="redge", steps=4)
-        est = redge_hard_grad(dist, sum_of_squares, cfg, 34)
+        est = estimate(dist, sum_of_squares, cfg, 34)
         np.testing.assert_allclose(est.grad, 0.0, atol=1e-10)
 
     def test_max_exact_for_quadratic_single_step(self):
@@ -258,10 +247,10 @@ class TestRedgeEstimators:
             dist = FactorizedCategorical(rng.normal(size=(2, 3)))
             f = random_quadratic(rng, 2, 3)
             for seed in range(10):
-                est = redge_max_grad(dist, f, cfg, seed)
-                ref = reinmax_estimate_for_sample(dist, f, est.hard_sample)
+                est = estimate(dist, f, cfg, seed)
+                ref = estimate_for_sample(dist, f, REINMAX, est.hard_sample)
                 assert np.abs(est.grad - ref.grad).max() <= 1e-12
-            got = enumerated_mean(dist, f, reinmax_estimate_for_sample)
+            got = enumerated_mean(dist, f, REINMAX)
             np.testing.assert_allclose(got, exact_gradient(dist, f), atol=1e-9)
 
     def test_cov_matches_finite_differences_both_modes(self):
@@ -270,8 +259,8 @@ class TestRedgeEstimators:
         f = random_cubic(rng, 2, 3)
         on = EstimatorConfig(kind="redge-cov", steps=3, base_backprop=True)
         off = EstimatorConfig(kind="redge-cov", steps=3, base_backprop=False)
-        got_on, want_on = pathwise_fd_pair("redge-cov", dist, f, on, 35)
-        got_off, want_off = pathwise_fd_pair("redge-cov", dist, f, off, 35)
+        got_on, want_on = pathwise_fd_pair(dist, f, on, 35)
+        got_off, want_off = pathwise_fd_pair(dist, f, off, 35)
         assert rel_err(got_on, want_on) <= 1e-5
         assert rel_err(got_off, want_off) <= 1e-5
         # the two modes genuinely differ on a non-uniform distribution
@@ -280,8 +269,7 @@ class TestRedgeEstimators:
     def test_cov_uniform_rows_match_finite_differences(self):
         dist = FactorizedCategorical(np.zeros((2, 3)))
         f = random_cubic(np.random.default_rng(14), 2, 3)
-        got, want = pathwise_fd_pair(
-            "redge-cov", dist, f, EstimatorConfig(kind="redge-cov", steps=4), 36)
+        got, want = pathwise_fd_pair(dist, f, EstimatorConfig(kind="redge-cov", steps=4), 36)
         assert rel_err(got, want) <= 1e-5
 
 
@@ -297,7 +285,7 @@ class TestAuxGradients:
             aux = x.tape.lift(aux0, requires_grad=True, name="aux")
             return x.dot(aux) + aux.pow(2.0).sum()
 
-        est = redge_hard_grad(dist, f, EstimatorConfig(kind="redge", steps=3), 41)
+        est = estimate(dist, f, EstimatorConfig(kind="redge", steps=3), 41)
         want = est.hard_sample.onehot + 2.0 * aux0
         np.testing.assert_allclose(est.aux_grads["aux"], want, atol=1e-12)
 
@@ -310,7 +298,7 @@ class TestAuxGradients:
             aux = x.tape.lift(aux0, requires_grad=True, name="aux")
             return x.dot(aux)
 
-        est = redge_soft_grad(dist, f, EstimatorConfig(kind="redge-soft", steps=3), 42)
+        est = estimate(dist, f, EstimatorConfig(kind="redge-soft", steps=3), 42)
         np.testing.assert_allclose(est.aux_grads["aux"], est.soft_sample, atol=1e-12)
 
 
@@ -325,9 +313,9 @@ class TestPermutationEquivariance:
         dist, dist_p = FactorizedCategorical(logits), FactorizedCategorical(logits[:, perm])
         f = PolyObjective((2, 3), lin=coeff)
         f_p = PolyObjective((2, 3), lin=coeff[:, perm])
-        for fn in (st_estimate_for_sample, reinmax_estimate_for_sample):
-            a = fn(dist, f, hard).grad
-            b = fn(dist_p, f_p, hard_p).grad
+        for config in (ST, REINMAX):
+            a = estimate_for_sample(dist, f, config, hard).grad
+            b = estimate_for_sample(dist_p, f_p, config, hard_p).grad
             np.testing.assert_allclose(a[:, perm], b, atol=1e-12)
 
     def test_diffusion_path_gradient(self):
@@ -365,6 +353,13 @@ class TestDispatch:
             assert est.grad.shape == (2, 3)
             assert np.all(np.isfinite(est.grad))
             assert est.kind in (kind, "st", "reinmax")
+
+    def test_for_sample_rejects_chain_kinds_and_bare_gs_st(self):
+        dist = FactorizedCategorical([[0.1, -0.2]])
+        hard = onehot_from_indices([0], 2)
+        for cfg in (EstimatorConfig(kind="redge", steps=3), EstimatorConfig(kind="gs-st")):
+            with pytest.raises(ValueError):
+                estimate_for_sample(dist, sum_of_squares, cfg, hard)
 
     def test_same_seed_same_estimate(self):
         rng = np.random.default_rng(20)
