@@ -13,7 +13,6 @@ from .categorical import (
     sample,
 )
 from .diffusion import (
-    GaussianBase,
     Schedule,
     Trajectory,
     TrajectoryNoise,

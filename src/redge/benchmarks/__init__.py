@@ -3,7 +3,7 @@ variational inference for a Gaussian mixture, and Sudoku completion."""
 
 from .adam import AdamState, adam_step
 from .polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
-from .gmm import GmmProblem, clustering_accuracy, gmm_generate, gmm_objective
+from .gmm import GmmProblem, clustering_accuracy, exact_objective_value, gmm_generate
 from .sudoku import SudokuProblem, generate_puzzles, parse_puzzles, sudoku_penalty
 from .runner import run_benchmark, write_summary_json, write_trace_csv
 
@@ -15,7 +15,7 @@ __all__ = [
     "exact_polyprog_loss",
     "GmmProblem",
     "gmm_generate",
-    "gmm_objective",
+    "exact_objective_value",
     "clustering_accuracy",
     "SudokuProblem",
     "generate_puzzles",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ..tensor import Node, Tape, as_matrix, grad_or_zero, softmax_rows
+from ..tensor import Node, Tape, _row_total, as_matrix, grad_or_zero, softmax_rows, stable_softmax
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -55,18 +55,13 @@ def gmm_generate(seed: int, size: int = 500, components: int = 20, dim: int = 2,
                       components=components, sigma0=sigma0, sigma_y=sigma_y, seed=seed)
 
 
-def likelihood_cost(mhat: Node, problem: GmmProblem) -> Node:
-    """(N, K) matrix of -log N(y_i; m_k, sigma_y^2 I), differentiable in m."""
-    n, d = problem.size, problem.dim
-    k = problem.components
-    var = problem.sigma_y**2
-    tape = mhat.tape
-    y = problem.data
-    cross = tape.constant(y) @ mhat.T                                   # (N, K)
-    m_sq = mhat.pow(2.0).row_sum().T.broadcast_row(n)                   # (N, K)
-    y_sq = tape.constant((y**2).sum(axis=1, keepdims=True)).broadcast_col(k)
-    const = 0.5 * d * (_LOG_2PI + np.log(var))
-    return (y_sq - cross * 2.0 + m_sq) * (1.0 / (2.0 * var)) + const
+def likelihood_cost(mhat: np.ndarray, problem: GmmProblem) -> np.ndarray:
+    """(N, K) matrix of -log N(y_i; m_k, sigma_y^2 I)."""
+    y, var = problem.data, problem.sigma_y**2
+    y_sq = (y**2).sum(axis=1, keepdims=True)  # (N, 1)
+    m_sq = _row_total(np.power(mhat, 2.0)).T  # (1, K)
+    const = 0.5 * problem.dim * (_LOG_2PI + np.log(var))
+    return (y_sq - (y @ mhat.T) * 2.0 + m_sq) * (1.0 / (2.0 * var)) + const
 
 
 def likelihood_term(x: Node, mhat_value: np.ndarray, problem: GmmProblem,
@@ -92,26 +87,17 @@ def entropy_prior_term(logits: Node, problem: GmmProblem) -> Node:
     return p.dot(p.log()) + problem.size * np.log(problem.components)
 
 
-def map_term(mhat: Node, problem: GmmProblem) -> Node:
-    """-sum_k log p(m_k) for the N(0, sigma0^2 I) prior on the means."""
-    var0 = problem.sigma0**2
-    const = 0.5 * problem.dim * problem.components * (_LOG_2PI + np.log(var0))
-    return mhat.pow(2.0).sum() * (1.0 / (2.0 * var0)) + const
-
-
-def gmm_objective(logits: Node, mhat: Node, problem: GmmProblem) -> Node:
-    """Full negative-ELBO-style objective, exact (per-row enumeration is the
-    dot against the probability matrix since the likelihood term is linear)."""
-    p = softmax_rows(logits)
-    return (entropy_prior_term(logits, problem)
-            + p.dot(likelihood_cost(mhat, problem))
-            + map_term(mhat, problem))
-
-
 def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProblem) -> float:
-    tape = Tape()
-    out = gmm_objective(tape.constant(logits), tape.constant(mhat), problem)
-    return float(out.value[0, 0])
+    """The exact negative ELBO: entropy and assignment prior, the expected
+    likelihood cost (the dot against the probability matrix, since the
+    likelihood term is linear in the one-hot) and the N(0, sigma0^2 I) prior
+    on the means."""
+    entropy = entropy_prior_term(Tape().constant(logits), problem).value[0, 0]
+    cost = float((stable_softmax(logits) * likelihood_cost(mhat, problem)).sum())
+    var0 = problem.sigma0**2
+    prior = (np.power(mhat, 2.0).sum() * (1.0 / (2.0 * var0))
+             + 0.5 * problem.dim * problem.components * (_LOG_2PI + np.log(var0)))
+    return float(entropy + cost + prior)
 
 
 def entropy_prior_gradient(logits: np.ndarray, problem: GmmProblem) -> np.ndarray:

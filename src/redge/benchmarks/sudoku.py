@@ -24,6 +24,7 @@ from ..tensor import Node, linear_op
 
 GRID_CELLS = 81
 DIGITS = 9
+_CELL_CHARS = frozenset(".0123456789")
 
 
 def _group_indices():
@@ -120,7 +121,9 @@ class SudokuProblem:
 
 
 def parse_puzzles(text: str):
-    """Parse puzzles from text, one per line: 81 chars, digits and '.'/'0'."""
+    """Parse puzzles from text, one per line: 81 characters, each a digit 1-9
+    or a blank ('.' or '0').  Blank lines and lines starting with '#' are
+    skipped."""
     problems = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -128,7 +131,10 @@ def parse_puzzles(text: str):
             continue
         if len(line) != GRID_CELLS:
             raise ValueError(f"line {lineno}: expected 81 characters, got {len(line)}")
-        digits = [0 if ch in ".0" else int(ch) for ch in line]
+        bad = next((ch for ch in line if ch not in _CELL_CHARS), None)
+        if bad is not None:
+            raise ValueError(f"line {lineno}: {bad!r} is neither a digit nor '.'")
+        digits = [0 if ch == "." else int(ch) for ch in line]
         problems.append(SudokuProblem.from_clues(digits))
     return problems
 

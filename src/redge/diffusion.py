@@ -14,13 +14,16 @@ t down to s is one DDIM update (Song et al. 2021, arXiv 2010.02502),
     r = sqrt(sigma_s^2 - eta_s^2),  b = r / sigma_t,  a = alpha_s - alpha_t * r / sigma_t,
 
 with eta_s in {0, sigma_s / 2, sigma_s}; eta = 0 is the deterministic
-sampler.  A moment-matched diagonal Gaussian reference (mean/variance of the
-target per coordinate) replaces the standard normal for the
-covariance-corrected estimator; its denoiser gains a per-coordinate
-precision weighting.
+sampler.  For the covariance-corrected estimator the reference at t=1 is the
+moment-matched diagonal Gaussian of a categorical: with p the row softmax of
+a reference logits node, N(p, diag(v)) with v = max(p(1-p),
+path_variance_floor(K)).  Its denoiser gains a per-coordinate precision
+weighting 1/v.
 
 Everything here is built from tape nodes, so trajectories are differentiable
-with respect to the logits (and, when enabled, the reference moments).
+with respect to the logits, and with respect to the reference moments exactly
+as far as gradients flow into the reference node (the logits themselves,
+their ``detach()`` or a constant).
 """
 
 from __future__ import annotations
@@ -31,20 +34,18 @@ from typing import Optional
 
 import numpy as np
 
-from .categorical import FactorizedCategorical
 from .tensor import Node, Tape, as_matrix, softmax_rows, stable_softmax
 
-# Floor for per-coordinate variances of the moment-matched reference; keeps
-# the precision weights finite on degenerate rows.
+# Lower clamp of :func:`path_variance_floor`; it binds only above about
+# 900,000 categories.
 VAR_FLOOR = 1e-6
 
 
 def path_variance_floor(categories: int) -> float:
-    """Variance floor used when the moment-matched reference drives a
-    differentiable sampling path.
+    """Floor on the per-coordinate variances of the moment-matched reference.
 
     Sharpening rows send per-coordinate variances p(1-p) toward zero and the
-    precision weights 1/v toward 1/VAR_FLOOR, which saturates every softmax
+    precision weights 1/v without bound, which saturates every softmax
     along the path and collapses its gradients (a runaway feedback: sharper
     probabilities -> larger weights -> sharper states).  Flooring just below
     the uniform-distribution coordinate variance caps the weights near the
@@ -148,31 +149,6 @@ def linear_schedule(n: int = 2, t1: Optional[float] = None, eta: str = "zero",
     if grid is None:
         grid = uniform_grid(n, t1)
     return Schedule(grid=grid, eta_name=eta)
-
-
-@dataclass(frozen=True)
-class GaussianBase:
-    """Diagonal Gaussian reference: per-coordinate means, variances, precisions."""
-
-    mu: np.ndarray
-    v: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def from_moments(cls, mu, v, floor: float = VAR_FLOOR) -> "GaussianBase":
-        mu = as_matrix(mu).copy()
-        v = np.maximum(as_matrix(v), floor)
-        return cls(mu=mu, v=v, lam=1.0 / v)
-
-
-def mle_base(dist: FactorizedCategorical, floor: float = VAR_FLOOR) -> GaussianBase:
-    """Moment-matched diagonal Gaussian: mu = p, v = p*(1-p) (floored).
-
-    This is the maximum-likelihood diagonal Gaussian fit to the one-hot
-    target, coordinate by coordinate.
-    """
-    p = dist.probs
-    return GaussianBase.from_moments(p, p * (1.0 - p), floor=floor)
 
 
 def _as_node(tape: Tape, x) -> Node:
@@ -282,41 +258,31 @@ class Trajectory:
 
 
 def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
-                      base=None, base_backprop: bool = True) -> Trajectory:
+                      reference: Optional[Node] = None) -> Trajectory:
     """Run the reverse chain down the grid, recording every state.
 
-    ``base`` selects the terminal reference: None for the standard normal,
-    "mle" for the moment-matched diagonal Gaussian derived from the logits
-    (differentiable when ``base_backprop``), or a fixed :class:`GaussianBase`.
+    ``reference`` selects the Gaussian at t=1: None for the standard normal,
+    or a logits node whose row softmax p gives the moment-matched
+    N(p, diag(max(p(1-p), path_variance_floor(K)))), so the chain starts at
+    p + sqrt(v) * x1.  The moments carry gradients exactly as that node does:
+    pass ``logits`` to differentiate through them, ``logits.detach()`` or a
+    constant to freeze them.
     """
     tape = logits.tape
-    if base is None:
+    if reference is None:
         x = tape.constant(noise.x1)
     else:
-        mu_node, v_node = _base_nodes(logits, base, base_backprop)
-        x = mu_node + v_node.sqrt() * tape.constant(noise.x1)
+        mu = softmax_rows(reference)
+        v = (mu * (1.0 - mu)).clamp_min(path_variance_floor(mu.shape[1]))
+        x = mu + v.sqrt() * tape.constant(noise.x1)
     states = [(float(schedule.grid[0]), x)]
     d = None
     for k in range(len(schedule.grid) - 1):
         t, s = float(schedule.grid[k]), float(schedule.grid[k + 1])
-        if base is None:
+        if reference is None:
             d = denoiser(logits, x, t, schedule)
         else:
-            d = denoiser_cov(logits, x, t, schedule, mu_node, v_node)
+            d = denoiser_cov(logits, x, t, schedule, mu, v)
         x = ddim_step(s, t, x, d, schedule, noise.step_z[k])
         states.append((s, x))
     return Trajectory(states=states, soft_sample=x, final_denoiser=d)
-
-
-def _base_nodes(logits: Node, base, base_backprop: bool):
-    tape = logits.tape
-    if isinstance(base, GaussianBase):
-        return tape.constant(base.mu), tape.constant(base.v)
-    if base == "mle":
-        p = softmax_rows(logits)
-        ones = tape.constant(np.ones_like(p.value))
-        v = (p * (ones - p)).clamp_min(path_variance_floor(logits.value.shape[1]))
-        if not base_backprop:
-            return p.detach(), v.detach()
-        return p, v
-    raise ValueError(f"unknown base {base!r}")

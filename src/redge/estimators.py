@@ -23,8 +23,8 @@ gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the t
 reinforce  Gumbel-max on the logits         hard sample  :func:`reinforce_apply`
 redge      chain, then Gumbel-max on the    hard sample  one backward sweep along the
            last denoiser output                          chain, seeded with g
-redge-cov  as redge, from the moment-       hard sample  as redge
-           matched Gaussian reference
+redge-cov  as redge, from N(p, v), the      hard sample  as redge; through p and v
+           moment-matched reference                      too with ``base_backprop``
 redge-max  as redge                         hard sample  as redge, then the last-step
                                                          block becomes ReinMax
 redge-soft the chain's soft sample          soft sample  as redge
@@ -197,9 +197,10 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     tape = Tape()
     logits = tape.lift(dist.logits, requires_grad=True)
     noise = draw_noise(schedule, dist.length, dist.categories, noise_rng)
-    traj = sample_trajectory(logits, schedule, noise,
-                             base="mle" if kind == "redge-cov" else None,
-                             base_backprop=config.base_backprop)
+    reference = None
+    if kind == "redge-cov":
+        reference = logits if config.base_backprop else logits.detach()
+    traj = sample_trajectory(logits, schedule, noise, reference)
     soft, d_last = traj.soft_sample.value, traj.final_denoiser.value
     hard = None
     if kind != "redge-soft":

@@ -24,7 +24,6 @@ from .categorical import (
     gumbel_noise,
     joint_probability,
     mixture_covariance_halfhalf,
-    row_covariance,
 )
 from .estimators import (
     EstimatorConfig,
@@ -276,14 +275,21 @@ def check_mixture_covariance(seed: int) -> CheckResult:
     return _compare(f"mixture_covariance[seed={seed}]", got, want, 1e-12, relative=False)
 
 
-def check_mle_base_moments(seed: int) -> CheckResult:
+def check_reference_moments(seed: int) -> CheckResult:
+    """The chain under the moment-matched reference starts at p + sqrt(v) x1,
+    with the variance v = p(1-p) of the one-hot law (two-point enumeration)
+    floored at ``path_variance_floor``."""
     rng = np.random.default_rng(seed)
     dist = _random_dist(rng, length=3, categories=4)
-    base = diffusion.mle_base(dist)
+    schedule = diffusion.linear_schedule(3)
+    noise = diffusion.draw_noise(schedule, 3, 4, rng)
+    tape = Tape()
+    logits = tape.constant(dist.logits)
+    got = diffusion.sample_trajectory(logits, schedule, noise, logits).states[0][1].value
     p = dist.probs
-    got = np.concatenate([base.mu, base.v])
-    want = np.concatenate([p, p * (1 - p) ** 2 + (1 - p) * p**2])
-    return _compare(f"mle_base_moments[seed={seed}]", got, want, 1e-12, relative=False)
+    v = np.maximum(p * (1 - p) ** 2 + (1 - p) * p**2, diffusion.path_variance_floor(4))
+    want = p + np.sqrt(v) * noise.x1
+    return _compare(f"reference_moments[seed={seed}]", got, want, 1e-12, relative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +327,14 @@ def pathwise_fd_pair(dist: FactorizedCategorical, f, config: EstimatorConfig,
         schedule = config.schedule()
         noise = diffusion.draw_noise(schedule, length, categories, split_rng(seed)[0])
         gx = eval_objective(f, est.hard_sample.onehot)[1]
-        if kind == "redge":
-            base, backprop = None, True
-        elif config.base_backprop:
-            base, backprop = "mle", True
-        else:
-            # moments frozen at theta0, with the same floor the path applies
-            p = dist.probs
-            base = diffusion.GaussianBase.from_moments(
-                p, p * (1.0 - p), floor=diffusion.path_variance_floor(dist.categories))
-            backprop = True
 
         def frozen(la):
             tape = Tape()
-            traj = diffusion.sample_trajectory(tape.constant(la), schedule, noise,
-                                               base=base, base_backprop=backprop)
+            logits, reference = tape.constant(la), None
+            if kind == "redge-cov":
+                # without base_backprop the moments stay frozen at theta0
+                reference = logits if config.base_backprop else tape.constant(dist.logits)
+            traj = diffusion.sample_trajectory(logits, schedule, noise, reference)
             return float((traj.soft_sample.value * gx).sum())
     else:
         raise ValueError(f"no finite-difference oracle for kind {kind!r}")
@@ -383,7 +382,7 @@ _SINGLE_CHECKS = (
     check_unbiased_reinmax_quadratic,
     check_unbiased_reinforce_cubic,
     check_mixture_covariance,
-    check_mle_base_moments,
+    check_reference_moments,
 )
 
 

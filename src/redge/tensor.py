@@ -250,20 +250,6 @@ class Node:
             ((self, lambda g: g[0, 0] * b), (other, lambda g: g[0, 0] * a)),
         )
 
-    def broadcast_row(self, rows: int) -> "Node":
-        """Tile a 1xK row vector into rows x K."""
-        if self.value.shape[0] != 1:
-            raise ValueError(f"broadcast_row expects a 1xK node, got {self.value.shape}")
-        out = np.broadcast_to(self.value, (rows, self.value.shape[1])).copy()
-        return self._unary(out, lambda g: g.sum(axis=0, keepdims=True))
-
-    def broadcast_col(self, cols: int) -> "Node":
-        """Tile an Lx1 column vector into L x cols."""
-        if self.value.shape[1] != 1:
-            raise ValueError(f"broadcast_col expects an Lx1 node, got {self.value.shape}")
-        out = np.broadcast_to(self.value, (self.value.shape[0], cols)).copy()
-        return self._unary(out, lambda g: g.sum(axis=1, keepdims=True))
-
     @property
     def T(self) -> "Node":
         return self._unary(self.value.T.copy(), lambda g: g.T)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from redge.analysis import (
-    PolyObjective,
     _batched_single_shot,
     bias_variance,
     bound_threshold,
-    decay_sweep_coefs,
     default_decay_study,
     jacobian_decay_study,
     margin,
@@ -19,7 +17,6 @@ from redge.analysis import (
 )
 from redge.categorical import (
     FactorizedCategorical,
-    exact_gradient,
     gumbel_noise,
     onehot_from_indices,
 )

@@ -10,8 +10,6 @@ import pytest
 
 from redge.categorical import FactorizedCategorical, sample_onehot_rows
 from redge.diffusion import (
-    GaussianBase,
-    VAR_FLOOR,
     TrajectoryNoise,
     ddim_step,
     denoiser,
@@ -19,7 +17,7 @@ from redge.diffusion import (
     denoiser_jacobians,
     draw_noise,
     linear_schedule,
-    mle_base,
+    path_variance_floor,
     sample_trajectory,
     uniform_grid,
 )
@@ -129,28 +127,44 @@ class TestDenoiserCov:
         np.testing.assert_allclose(out.value, stable_softmax(logits), atol=1e-12)
 
 
+def reference_moments(logits):
+    """Mean and variance of the chain's moment-matched reference, read off its
+    first state p + sqrt(v) * x1 at x1 = 0 and x1 = 1."""
+    logits = np.asarray(logits, dtype=float)
+    tape = Tape()
+    node = tape.constant(logits)
+
+    def first_state(x1):
+        noise = TrajectoryNoise(x1=np.full(logits.shape, x1), step_z=(None,))
+        return sample_trajectory(node, linear_schedule(2), noise, node).states[0][1].value
+
+    mu = first_state(0.0)
+    return mu, (first_state(1.0) - mu) ** 2
+
+
 class TestMleBase:
     def test_half_half(self):
-        base = mle_base(FactorizedCategorical([[0.0, 0.0]]))
-        np.testing.assert_allclose(base.mu, [[0.5, 0.5]])
-        np.testing.assert_allclose(base.v, [[0.25, 0.25]])
-        np.testing.assert_allclose(base.lam, [[4.0, 4.0]])
+        mu, v = reference_moments([[0.0, 0.0]])
+        np.testing.assert_allclose(mu, [[0.5, 0.5]])
+        np.testing.assert_allclose(v, [[0.25, 0.25]])
 
     def test_degenerate_row_floored(self):
-        base = mle_base(FactorizedCategorical([[60.0, 0.0]]))
-        assert np.all(base.v >= VAR_FLOOR)
-        assert base.v[0, 1] == VAR_FLOOR
+        mu, v = reference_moments([[60.0, 0.0]])
+        np.testing.assert_allclose(mu, [[1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(v, [[path_variance_floor(2)] * 2], rtol=1e-14)
 
     def test_matches_enumerated_moments(self):
         # Per-coordinate mean / variance of the one-hot law by 2-point enumeration.
         rng = np.random.default_rng(4)
         dist = FactorizedCategorical(rng.normal(size=(3, 4)))
-        base = mle_base(dist)
+        mu, v = reference_moments(dist.logits)
         p = dist.probs
-        np.testing.assert_allclose(base.mu, p, atol=1e-12)
+        np.testing.assert_allclose(mu, p, atol=1e-12)
         # two-point enumeration: E[(X_k - p_k)^2] = p_k (1-p_k)^2 + (1-p_k) p_k^2
         var = p * (1 - p) ** 2 + (1 - p) * p**2
-        np.testing.assert_allclose(base.v, var, atol=1e-12)
+        np.testing.assert_allclose(v, np.maximum(var, path_variance_floor(4)), atol=1e-12)
+        # the floor binds only where p(1-p) falls below it
+        assert np.any(var < path_variance_floor(4)) and np.any(var > path_variance_floor(4))
 
 
 class TestDdimStep:
@@ -306,14 +320,15 @@ class TestTrajectory:
     def test_base_draw_uses_moments(self):
         rng = np.random.default_rng(15)
         logits = rng.normal(size=(2, 3))
-        dist = FactorizedCategorical(logits)
-        base = mle_base(dist)
+        p = stable_softmax(logits)
+        v = np.maximum(p * (1.0 - p), path_variance_floor(3))
         sched = linear_schedule(3)
         noise = draw_noise(sched, 2, 3, rng)
         tape = Tape()
-        traj = sample_trajectory(tape.lift(logits), sched, noise, base=base)
+        node = tape.lift(logits)
+        traj = sample_trajectory(node, sched, noise, node)
         x1 = traj.states[0][1].value
-        np.testing.assert_allclose(x1, base.mu + np.sqrt(base.v) * noise.x1, atol=1e-14)
+        np.testing.assert_allclose(x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
 
 
 class TestClosedFormJacobians:

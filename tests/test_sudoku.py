@@ -1,5 +1,5 @@
 """Sudoku benchmark tests: adjoint pairs behind ``linear_op``, grid validity,
-and deterministic puzzle generation."""
+deterministic puzzle generation and the puzzle-file parser."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from redge.benchmarks.sudoku import (
     group_sums,
     group_sums_adjoint,
     is_valid_grid,
+    load_puzzle_file,
+    parse_puzzles,
     penalty_batch,
 )
 from redge.tensor import Tape
@@ -68,3 +70,38 @@ def test_generate_puzzles_deterministic_per_seed():
     assert any(not np.array_equal(pa.clues, pc.clues) for pa, pc in zip(a, other))
     for p in a:
         assert 28 <= GRID_CELLS - p.free_count <= 34
+
+
+def puzzle_line(clues, blank="."):
+    return "".join(blank if d == 0 else str(d) for d in clues)
+
+
+def test_parse_puzzles_reads_blanks_and_skips_comments():
+    clues = generate_puzzles(2, 9)
+    text = "\n".join(["# two puzzles", "", puzzle_line(clues[0].clues, "."),
+                      "   ", puzzle_line(clues[1].clues, "0") + "  "])
+    parsed = parse_puzzles(text)
+    assert len(parsed) == 2
+    for got, want in zip(parsed, clues):
+        np.testing.assert_array_equal(got.clues, want.clues)
+        np.testing.assert_array_equal(got.free_cells, want.free_cells)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("1" * 80, "line 2: expected 81 characters, got 80"),
+    ("1" * 82, "line 2: expected 81 characters, got 82"),
+    ("x" + "." * 80, "line 2: 'x' is neither a digit nor '.'"),
+    ("." * 40 + "-" + "." * 40, "line 2: '-' is neither a digit nor '.'"),
+    ("." * 80 + "\u0663", "line 2: '\u0663' is neither a digit nor '.'"),
+])
+def test_parse_puzzles_names_the_bad_line(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_puzzles("# header\n" + line)
+
+
+def test_load_puzzle_file(tmp_path):
+    clues = generate_puzzles(1, 3)[0].clues
+    path = tmp_path / "puzzles.txt"
+    path.write_text("# one puzzle\n" + puzzle_line(clues) + "\n", encoding="utf-8")
+    (parsed,) = load_puzzle_file(path)
+    np.testing.assert_array_equal(parsed.clues, clues)

@@ -1,8 +1,11 @@
 """Tape and primitive-op tests: every backward rule is checked against
-central finite differences, plus the stop-gradient and determinism contracts."""
+central finite differences, at fixed shapes and as hypothesis properties on
+random shapes, plus the stop-gradient and determinism contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redge.tensor import (
     Tape,
@@ -141,15 +144,69 @@ class TestElementwiseOps:
             x = rng.uniform(0.1 if positive else -3.0, 3.0, size=(2, 3))
             assert rel_err(tape_grad(build, x), fd_grad(build, x)) <= 1e-5
 
-    def test_broadcasts_match_finite_differences(self):
-        rng = np.random.default_rng(11)
-        row = lambda x: x.broadcast_row(4).pow(2.0).sum()
-        col = lambda x: x.broadcast_col(5).pow(2.0).sum()
-        for _ in range(100):
-            x = rng.uniform(-3, 3, (1, 3))
-            assert rel_err(tape_grad(row, x), fd_grad(row, x)) <= 1e-5
-            y = rng.uniform(-3, 3, (4, 1))
-            assert rel_err(tape_grad(col, y), fd_grad(col, y)) <= 1e-5
+
+
+# Every differentiable op, as a map from an (L, K) node to a node of any
+# shape, with the input domain it needs: "any" in [-2, 2], "positive" in
+# [0.2, 2], "nonzero" with 0.1 <= |x| <= 2 (away from the kinks of abs and
+# clamp_min).
+VJP_OPS = {
+    "add": (lambda x: x + x.exp(), "any"),
+    "radd_scalar": (lambda x: 0.5 + x * x, "any"),
+    "sub": (lambda x: x - x * x, "any"),
+    "rsub_scalar": (lambda x: 1.0 - x.exp(), "any"),
+    "neg": (lambda x: -(x * x), "any"),
+    "scale": (lambda x: x * 3.5, "any"),
+    "hadamard": (lambda x: x * x.exp(), "any"),
+    "div_scalar": (lambda x: x.exp() / 2.0, "any"),
+    "div_node": (lambda x: x / x.exp(), "any"),
+    "pow3": (lambda x: x.pow(3.0), "any"),
+    "pow_half": (lambda x: x.pow(0.5), "positive"),
+    "pow_operator": (lambda x: x**-1.5, "positive"),
+    "exp": (lambda x: x.exp(), "any"),
+    "log": (lambda x: x.log(), "positive"),
+    "sqrt": (lambda x: x.sqrt(), "positive"),
+    "abs": (lambda x: x.abs(), "nonzero"),
+    "clamp_min": (lambda x: x.clamp_min(0.0), "nonzero"),
+    "sum": (lambda x: (x * x).sum(), "any"),
+    "row_sum": (lambda x: (x * x).row_sum(), "any"),
+    "dot": (lambda x: x.dot(x.exp()), "any"),
+    "transpose": (lambda x: (x * x).T, "any"),
+    "reshape": (lambda x: (x * x).reshape(x.shape[1], x.shape[0]), "any"),
+    "matmul": (lambda x: x @ x.T, "any"),
+    "rmatmul": (lambda x: np.linspace(-1.0, 1.0, 3 * x.shape[0]).reshape(3, -1) @ x.exp(), "any"),
+    "softmax_rows": (lambda x: softmax_rows(x * 3.0), "any"),
+    "linear_op": (lambda x: _cumsum(x).pow(2.0), "any"),
+}
+
+
+def _cumsum(x):
+    """Running sum over the flattened entries, as a linear_op with its adjoint."""
+    shape = x.shape
+    return linear_op(x, lambda v: np.cumsum(v.ravel())[None, :],
+                     lambda g: np.cumsum(g.ravel()[::-1])[::-1].reshape(shape))
+
+
+def _domain_values(rng, domain, shape):
+    if domain == "positive":
+        return rng.uniform(0.2, 2.0, shape)
+    if domain == "nonzero":
+        return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 2.0, shape)
+    return rng.uniform(-2.0, 2.0, shape)
+
+
+@pytest.mark.parametrize("name", sorted(VJP_OPS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(length=st.integers(1, 4), categories=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_vjp_matches_central_differences(name, length, categories, seed):
+    """Each op's VJP, under a random cotangent, against central differences on
+    random shapes; K > 16 takes the wide-row branches of the row reductions."""
+    build, domain = VJP_OPS[name]
+    rng = np.random.default_rng(seed)
+    x = _domain_values(rng, domain, (length, categories))
+    cotangent = rng.standard_normal(build(Tape().constant(x)).shape)
+    scalar = lambda node: build(node).dot(cotangent)
+    assert rel_err(tape_grad(scalar, x), fd_grad(scalar, x)) <= 1e-6
 
 
 class TestSoftmax:
