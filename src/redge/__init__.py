@@ -8,8 +8,6 @@ from .categorical import (
     FactorizedCategorical,
     OneHotSample,
     exact_gradient,
-    mean,
-    row_covariance,
     sample,
 )
 from .diffusion import (

@@ -133,7 +133,7 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
     for t1, schedule in zip(t1_list, schedules):
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
-        traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1, step_z=(None,) * (n - 1)))
+        traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
         jac_full = jacobian(traj.soft_sample, leaf)
         pre = traj.state_before_last
         jac_pre = jacobian(pre, leaf)
@@ -229,14 +229,16 @@ def bound_threshold(limit_margin: float, categories: int, target_norm: float = 1
 
 
 class PolyObjective:
-    """Polynomial objective with a tape path and a plain-array path.
+    """Polynomial objective, written once for (R, L, K) stacks.
 
     f(x) = <lin, x> + vec(x)^T quad vec(x) + <cubic, x**3> + const, with any
-    of the coefficient blocks optional.  The plain path is written once, for
-    a whole (R, L, K) stack (:meth:`value_batch`, :meth:`grad_batch`), which
-    keeps large-replication bias/variance measurements cheap for the
-    single-shot estimators; :meth:`value` and :meth:`grad` evaluate one LxK
-    point as a stack of one.
+    of the coefficient blocks optional.  :meth:`value_batch` and
+    :meth:`grad_batch` evaluate a whole stack, which keeps large-replication
+    bias/variance measurements cheap for the single-shot estimators;
+    :meth:`value` and :meth:`grad` evaluate one LxK point as a stack of one.
+    On a tape, ``f(x)`` is one node made by ``x.apply``: its value is
+    :meth:`value` and its VJP scales :meth:`grad`, which only a backward pass
+    computes.
     """
 
     def __init__(self, shape, lin=None, quad=None, cubic=None, const: float = 0.0):
@@ -250,20 +252,8 @@ class PolyObjective:
         self.const = float(const)
 
     def __call__(self, x: Node) -> Node:
-        terms = []
-        if self.lin is not None:
-            terms.append(x.dot(self.lin))
-        if self.quad is not None:
-            flat = x.reshape(self.quad.shape[0], 1)
-            terms.append(flat.dot(self.quad @ flat))
-        if self.cubic is not None:
-            terms.append(x.pow(3.0).dot(self.cubic))
-        if not terms:
-            return x.tape.constant([[self.const]])
-        out = terms[0]
-        for term in terms[1:]:
-            out = out + term
-        return out + self.const if self.const else out
+        point = x.value
+        return x.apply(np.array([[self.value(point)]]), lambda g: g[0, 0] * self.grad(point))
 
     def value(self, x) -> float:
         return float(self.value_batch(as_matrix(x)[None])[0])
@@ -410,7 +400,6 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
                     raise ValueError("theta weights must lie in (0, 1)")
                 tape = Tape()
                 leaf = tape.lift(np.log([[theta, 1.0 - theta]]))
-                traj = sample_trajectory(
-                    leaf, schedule, TrajectoryNoise(x1=x1, step_z=(None,) * (n - 1)))
+                traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
                 rows.append((t1, q, theta, float(traj.soft_sample.value[0, 0])))
     return rows

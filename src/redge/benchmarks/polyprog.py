@@ -60,4 +60,6 @@ def exact_polyprog_loss(probs, problem: PolyProgProblem) -> float:
     """Exact expectation of the discrete loss via two-point enumeration per row."""
     probs = as_matrix(probs)
     v1, v2 = problem.vertex_values()
-    return float((probs[:, 0] * v1 + probs[:, 1] * v2).mean())
+    # the row sum scaled by 1/L, as in polyprog_loss, so both agree exactly
+    # at hard samples
+    return float((probs[:, 0] * v1 + probs[:, 1] * v2).sum() * (1.0 / probs.shape[0]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor import Node, linear_op
+from ..tensor import Node
 
 GRID_CELLS = 81
 DIGITS = 9
@@ -73,14 +73,11 @@ def sudoku_penalty(x: Node, puzzles: int = 1) -> Node:
     if x.shape != (puzzles * GRID_CELLS, DIGITS):
         raise ValueError(f"expected shape {(puzzles * GRID_CELLS, DIGITS)}, got {x.shape}")
 
-    def forward(v):
-        return group_sums(v.reshape(puzzles, GRID_CELLS, DIGITS)).reshape(puzzles * 27, DIGITS)
-
     def adjoint(g):
         return group_sums_adjoint(g.reshape(puzzles, 27, DIGITS)).reshape(puzzles * GRID_CELLS, DIGITS)
 
-    sums = linear_op(x, forward, adjoint)
-    return (sums - 1.0).pow(2.0).sum()
+    sums = group_sums(x.value.reshape(puzzles, GRID_CELLS, DIGITS)).reshape(puzzles * 27, DIGITS)
+    return (x.apply(sums, adjoint) - 1.0).pow(2.0).sum()
 
 
 def penalty_batch(grids: np.ndarray) -> np.ndarray:
@@ -220,17 +217,9 @@ class SudokuBatch:
     def embed(self, x: Node) -> Node:
         """Scatter stacked free rows into the full grid matrix, add clues."""
         idx = self.scatter_index
-        shape = (self.count * GRID_CELLS, DIGITS)
-
-        def forward(v):
-            out = np.zeros(shape)
-            out[idx] = v
-            return out
-
-        def adjoint(g):
-            return g[idx]
-
-        return linear_op(x, forward, adjoint) + x.tape.constant(self.clue_matrix)
+        grid = np.zeros((self.count * GRID_CELLS, DIGITS))
+        grid[idx] = x.value
+        return x.apply(grid, lambda g: g[idx]) + x.tape.constant(self.clue_matrix)
 
     def objective(self, x: Node) -> Node:
         return sudoku_penalty(self.embed(x), puzzles=self.count)

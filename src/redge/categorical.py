@@ -87,34 +87,6 @@ def sample(dist: FactorizedCategorical, rng: np.random.Generator) -> OneHotSampl
     return sample_onehot_rows(dist.logits, rng)
 
 
-def mean(dist: FactorizedCategorical) -> np.ndarray:
-    """Mean of the one-hot sample, which is the probability matrix itself."""
-    return dist.probs.copy()
-
-
-def row_covariance(p, tol: float = 1e-9) -> np.ndarray:
-    """Covariance diag(p) - p p^T of a single categorical row."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
-        raise ValueError("p is not a probability vector")
-    return np.diag(p) - np.outer(p, p)
-
-
-def mixture_covariance_halfhalf(p, x) -> np.ndarray:
-    """Covariance of the even mixture of Categorical(p) and the point mass at x.
-
-    Equals cov(p)/2 + (x - p)(x - p)^T / 4.
-    """
-    p = np.asarray(p, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != p.shape:
-        raise ValueError("p and x must have the same length")
-    if not (np.all((x == 0.0) | (x == 1.0)) and x.sum() == 1.0):
-        raise ValueError("x must be one-hot")
-    d = x - p
-    return 0.5 * row_covariance(p) + 0.25 * np.outer(d, d)
-
-
 def enumerate_onehots(length: int, categories: int):
     """Yield (indices, onehot) for every one-hot configuration, row-major order."""
     for combo in product(range(categories), repeat=length):

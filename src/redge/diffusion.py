@@ -224,7 +224,8 @@ class TrajectoryNoise:
 
     ``x1`` is the standard-normal draw; under a moment-matched reference it is
     transformed to mu + sqrt(v) * x1 inside the trajectory.  ``step_z`` holds
-    one entry per transition, None where the step is deterministic.
+    one entry per transition, None where the step is deterministic; left
+    empty, every step is deterministic.
     """
 
     x1: np.ndarray
@@ -268,6 +269,10 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     pass ``logits`` to differentiate through them, ``logits.detach()`` or a
     constant to freeze them.
     """
+    transitions = len(schedule.grid) - 1
+    step_z = noise.step_z or (None,) * transitions
+    if len(step_z) != transitions:
+        raise ValueError(f"step_z has {len(step_z)} entries for {transitions} transitions")
     tape = logits.tape
     if reference is None:
         x = tape.constant(noise.x1)
@@ -277,12 +282,12 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         x = mu + v.sqrt() * tape.constant(noise.x1)
     states = [(float(schedule.grid[0]), x)]
     d = None
-    for k in range(len(schedule.grid) - 1):
+    for k in range(transitions):
         t, s = float(schedule.grid[k]), float(schedule.grid[k + 1])
         if reference is None:
             d = denoiser(logits, x, t, schedule)
         else:
             d = denoiser_cov(logits, x, t, schedule, mu, v)
-        x = ddim_step(s, t, x, d, schedule, noise.step_z[k])
+        x = ddim_step(s, t, x, d, schedule, step_z[k])
         states.append((s, x))
     return Trajectory(states=states, soft_sample=x, final_denoiser=d)

@@ -4,7 +4,9 @@ Every estimator returns the LxK gradient with respect to the logits (the
 identity parameterization; composing with a further parameter map is the
 caller's job).  Objectives are callables ``f(x: Node) -> Node`` producing a
 scalar node; they may lift named auxiliary leaves onto the node's tape, whose
-gradients are reported in ``GradientEstimate.aux_grads``.
+gradients are reported in ``GradientEstimate.aux_grads``.  An objective with
+a closed-form gradient may return ``x.apply(value, vjp)``, one node whose
+``vjp`` runs only when the gradient is wanted (``analysis.PolyObjective``).
 
 All kinds run one pipeline, :func:`estimate`:
 
@@ -45,6 +47,7 @@ single-step chain reproduces the classical kinds exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,8 +74,9 @@ class EstimatorConfig:
     """Estimator choice plus its hyperparameters.
 
     ``steps``, ``t1`` and ``eta`` only matter for the diffusion kinds, whose
-    schedule is built once at construction (hence frozen); ``tau`` for the
-    Gumbel-softmax kind, ``base_backprop`` for the covariance-corrected kind.
+    schedule is built once at construction (hence frozen); ``tau`` (finite,
+    positive) for the Gumbel-softmax kind, ``base_backprop`` for the
+    covariance-corrected kind, ``baseline`` (None or finite) for REINFORCE.
     """
 
     kind: str = "st"
@@ -81,14 +85,15 @@ class EstimatorConfig:
     tau: float = 1.0
     eta: str = "zero"
     base_backprop: bool = True
-    seed: int = 0
     baseline: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "gs-st" and self.tau <= 0.0:
-            raise ValueError("temperature must be positive")
+        if self.kind == "gs-st" and not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"temperature must be finite and positive, got {self.tau}")
+        if self.baseline is not None and not math.isfinite(self.baseline):
+            raise ValueError(f"baseline must be None or finite, got {self.baseline}")
         if self.t1 is not None and not 0.0 < self.t1 <= 1.0:
             raise ValueError("t1 must lie in (0, 1]")
         # Built here so that a bad steps/t1/eta combination fails at
@@ -179,10 +184,10 @@ def estimate_for_sample(dist: FactorizedCategorical, f, config: EstimatorConfig,
 
 
 def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
-             rng=None) -> GradientEstimate:
-    """Draw, evaluate f once, transport; ``rng`` defaults to ``config.seed``."""
+             rng) -> GradientEstimate:
+    """Draw, evaluate f once, transport; ``rng`` is a seed or a Generator."""
     kind = config.kind
-    noise_rng, cat_rng = split_rng(config.seed if rng is None else rng)
+    noise_rng, cat_rng = split_rng(rng)
     if kind == "gs-st":
         # The hard sample comes from the same Gumbel draw that drives the soft map.
         g = gumbel_noise(dist.logits.shape, cat_rng)

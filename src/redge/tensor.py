@@ -7,6 +7,12 @@ parent's cotangent; :meth:`Tape.backward` walks the node list in reverse
 insertion order exactly once, so two backward passes over the same tape
 produce bitwise-identical gradients.
 
+A map of one node whose vector-Jacobian product is known in closed form
+becomes a single node through :meth:`Node.apply`, given the output value and
+the function that maps an output cotangent to the input cotangent.  Every
+one-input op here (``softmax_rows`` included) and every custom node outside
+this module is built that way.
+
 ``detach()`` creates a node with the same value but no parents: upstream of
 it the graph behaves as if the value were a constant (stop-gradient).
 
@@ -26,7 +32,6 @@ __all__ = [
     "as_matrix",
     "stable_softmax",
     "softmax_rows",
-    "linear_op",
     "finite_diff_gradient",
     "jacobian",
     "grad_or_zero",
@@ -134,7 +139,13 @@ class Node:
             arr = np.full(self.value.shape, float(arr))
         return self.tape.constant(arr)
 
-    def _unary(self, value, vjp) -> "Node":
+    def apply(self, value, vjp) -> "Node":
+        """A node computed from this one alone, with a hand-written VJP.
+
+        ``value`` is the output; ``vjp(g)`` maps an output cotangent g to the
+        cotangent of this node (same shape as ``self.value``).  It runs only
+        in a backward pass that reaches this node.
+        """
         return self.tape._record(value, ((self, vjp),))
 
     # -- arithmetic ------------------------------------------------------------
@@ -161,12 +172,12 @@ class Node:
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return self._unary(-self.value, _neg_vjp)
+        return self.apply(-self.value, _neg_vjp)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             c = float(other)
-            return self._unary(self.value * c, lambda g: g * c)
+            return self.apply(self.value * c, lambda g: g * c)
         other = self._coerce(other)
         _check_same_shape(self.value, other.value)
         a, b = self.value, other.value
@@ -197,47 +208,47 @@ class Node:
         def vjp(g, x=x, p=p):
             return g * p * np.power(x, p - 1.0)
 
-        return self._unary(out, vjp)
+        return self.apply(out, vjp)
 
     def exp(self) -> "Node":
         out = np.exp(self.value)
-        return self._unary(out, lambda g: g * out)
+        return self.apply(out, lambda g: g * out)
 
     def log(self) -> "Node":
         x = self.value
         if np.any(x <= 0.0):
             raise ValueError("log of non-positive input")
-        return self._unary(np.log(x), lambda g: g / x)
+        return self.apply(np.log(x), lambda g: g / x)
 
     def sqrt(self) -> "Node":
         x = self.value
         if np.any(x <= 0.0):
             raise ValueError("sqrt of non-positive input")
         out = np.sqrt(x)
-        return self._unary(out, lambda g: g / (2.0 * out))
+        return self.apply(out, lambda g: g / (2.0 * out))
 
     def abs(self) -> "Node":
         x = self.value
-        return self._unary(np.abs(x), lambda g: g * np.sign(x))
+        return self.apply(np.abs(x), lambda g: g * np.sign(x))
 
     def clamp_min(self, c: float) -> "Node":
         """Elementwise max(x, c); gradient vanishes on clamped entries."""
         x = self.value
         c = float(c)
         mask = (x > c).astype(np.float64)
-        return self._unary(np.maximum(x, c), lambda g: g * mask)
+        return self.apply(np.maximum(x, c), lambda g: g * mask)
 
     # -- reductions and shape ops ------------------------------------------
 
     def sum(self) -> "Node":
         shape = self.value.shape
         out = np.array([[self.value.sum()]])
-        return self._unary(out, lambda g: np.full(shape, g[0, 0]))
+        return self.apply(out, lambda g: np.full(shape, g[0, 0]))
 
     def row_sum(self) -> "Node":
         shape = self.value.shape
         out = _row_total(self.value)
-        return self._unary(out, lambda g: np.repeat(g, shape[1], axis=1))
+        return self.apply(out, lambda g: np.repeat(g, shape[1], axis=1))
 
     def dot(self, other) -> "Node":
         """Frobenius inner product; returns a 1x1 node."""
@@ -252,13 +263,7 @@ class Node:
 
     @property
     def T(self) -> "Node":
-        return self._unary(self.value.T.copy(), lambda g: g.T)
-
-    def reshape(self, rows: int, cols: int) -> "Node":
-        shape = self.value.shape
-        if rows * cols != self.value.size:
-            raise ValueError(f"cannot reshape {shape} to {(rows, cols)}")
-        return self._unary(self.value.reshape(rows, cols).copy(), lambda g: g.reshape(shape))
+        return self.apply(self.value.T.copy(), lambda g: g.T)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -269,9 +274,6 @@ class Node:
             a @ b,
             ((self, lambda g: g @ b.T), (other, lambda g: a.T @ g)),
         )
-
-    def __rmatmul__(self, other):
-        return self._coerce(other).__matmul__(self)
 
     def detach(self) -> "Node":
         """Same value, zero gradient flow."""
@@ -293,21 +295,7 @@ def softmax_rows(x: Node) -> Node:
     def vjp(g, p=p):
         return covariance_apply(p, g)
 
-    return x.tape._record(p, ((x, vjp),))
-
-
-def linear_op(x: Node, forward: Callable, adjoint: Callable) -> Node:
-    """Custom linear map with an explicit adjoint for the backward pass.
-
-    ``forward`` and ``adjoint`` must be a true adjoint pair,
-    <g, forward(x)> == <adjoint(g), x> for all g, x.
-    """
-    out = as_matrix(forward(x.value))
-
-    def vjp(g):
-        return as_matrix(adjoint(g))
-
-    return x.tape._record(out, ((x, vjp),))
+    return x.apply(p, vjp)
 
 
 class Tape:

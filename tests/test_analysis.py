@@ -12,6 +12,7 @@ from redge.analysis import (
     margin,
     operator_norm,
     random_cubic,
+    random_quadratic,
     random_linear,
     transport_slice,
 )
@@ -21,7 +22,8 @@ from redge.categorical import (
     onehot_from_indices,
 )
 from redge.diffusion import Schedule, denoiser_jacobians, linear_schedule
-from redge.estimators import EstimatorConfig, estimate_for_sample
+from redge.estimators import EstimatorConfig, estimate_for_sample, eval_objective
+from redge.tensor import finite_diff_gradient
 
 
 class TestMargin:
@@ -145,6 +147,25 @@ class TestDecayStudy:
         header, rows = study.csv_rows()
         assert header == ["t1", "c_t1", "jac_norm", "margin", "bound_value"]
         assert len(rows) == len(study.points) and len(rows[0]) == 5
+
+
+class TestPolyObjective:
+    def test_grad_batch_matches_central_differences(self):
+        rng = np.random.default_rng(11)
+        for f in (random_quadratic(rng, 2, 3), random_cubic(rng, 2, 3)):
+            stack = rng.uniform(-1.5, 1.5, (4, 2, 3))
+            grads = f.grad_batch(stack)
+            for point, grad in zip(stack, grads):
+                want = finite_diff_gradient(lambda x: f.value_batch(x[None])[0], point)
+                np.testing.assert_allclose(grad, want, rtol=1e-8, atol=1e-8)
+
+    def test_tape_node_is_value_and_grad(self):
+        rng = np.random.default_rng(12)
+        f = random_cubic(rng, 2, 3)
+        point = rng.uniform(-1.5, 1.5, (2, 3))
+        value, grad, _ = eval_objective(f, point)
+        assert value == f.value_batch(point[None])[0]
+        np.testing.assert_array_equal(grad, f.grad_batch(point[None])[0])
 
 
 class TestBiasVariance:

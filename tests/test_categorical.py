@@ -12,13 +12,10 @@ from redge.categorical import (
     enumerate_onehots,
     exact_gradient,
     joint_probability,
-    mean,
-    mixture_covariance_halfhalf,
     onehot_from_indices,
-    row_covariance,
     sample,
 )
-from redge.estimators import EstimatorConfig, estimate_for_sample
+from redge.estimators import EstimatorConfig, covariance_apply, estimate_for_sample
 
 REINFORCE = EstimatorConfig(kind="reinforce")
 
@@ -43,10 +40,6 @@ class TestProbs:
         for i in range(2):
             single = FactorizedCategorical(rows[i: i + 1])
             np.testing.assert_array_equal(dist.probs[i], single.probs[0])
-
-    def test_mean_is_probs(self):
-        dist = FactorizedCategorical([[1.0, -2.0, 0.3]])
-        np.testing.assert_array_equal(mean(dist), dist.probs)
 
 
 class TestSampling:
@@ -82,6 +75,13 @@ class TestSampling:
         assert np.all(tv <= 3.0 * np.sqrt(4 / n))
 
 
+def row_covariance(p):
+    """Cov(p) = diag(p) - p p^T of one categorical row, as the matrix whose
+    columns ``covariance_apply`` gives for the unit vectors."""
+    p = np.asarray(p, dtype=np.float64)[None, :]
+    return covariance_apply(p, np.eye(p.shape[1])[:, None, :])[:, 0, :]
+
+
 class TestRowCovariance:
     def test_half_half(self):
         np.testing.assert_allclose(
@@ -95,10 +95,6 @@ class TestRowCovariance:
             row_covariance([2 / 3, 1 / 3]),
             [[2 / 9, -2 / 9], [-2 / 9, 2 / 9]], atol=1e-15)
 
-    def test_rejects_non_simplex(self):
-        with pytest.raises(ValueError):
-            row_covariance([0.5, 0.6])
-
     def test_rows_sum_zero_and_psd(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -106,30 +102,6 @@ class TestRowCovariance:
             cov = row_covariance(p)
             np.testing.assert_allclose(cov @ np.ones(5), 0.0, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() >= -1e-12
-
-
-class TestMixtureCovariance:
-    def test_frozen_example(self):
-        got = mixture_covariance_halfhalf([0.5, 0.5], [1.0, 0.0])
-        np.testing.assert_allclose(
-            got, [[0.1875, -0.1875], [-0.1875, 0.1875]], atol=1e-15)
-
-    def test_degenerate_atom(self):
-        got = mixture_covariance_halfhalf([1.0, 0.0], [1.0, 0.0])
-        np.testing.assert_allclose(got, np.zeros((2, 2)), atol=1e-15)
-
-    def test_matches_direct_enumeration(self):
-        # Brute-force covariance of the explicit even mixture over K outcomes.
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            k = int(rng.integers(2, 6))
-            p = rng.dirichlet(np.ones(k))
-            x = np.zeros(k)
-            x[rng.integers(k)] = 1.0
-            q = 0.5 * (p + x)
-            direct = np.diag(q) - np.outer(q, q)
-            np.testing.assert_allclose(
-                mixture_covariance_halfhalf(p, x), direct, atol=1e-12)
 
 
 class TestExactGradient:

@@ -379,3 +379,23 @@ def test_draw_noise_deterministic():
             assert zb is None
         else:
             np.testing.assert_array_equal(za, zb)
+
+
+def test_empty_step_z_means_deterministic_steps():
+    sched = linear_schedule(4)
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal((2, 3))
+    leaf = Tape().constant(rng.standard_normal((2, 3)))
+    bare = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1))
+    explicit = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1, step_z=(None,) * 3))
+    np.testing.assert_array_equal(bare.soft_sample.value, explicit.soft_sample.value)
+
+
+def test_step_z_needs_one_entry_per_transition():
+    leaf = Tape().constant(np.zeros((1, 2)))
+    short = TrajectoryNoise(x1=np.zeros((1, 2)), step_z=(None, None))
+    with pytest.raises(ValueError, match="2 entries for 3 transitions"):
+        sample_trajectory(leaf, linear_schedule(4), short)
+    # a noisy step still needs its draw when step_z is left empty
+    with pytest.raises(ValueError, match="needs its noise"):
+        sample_trajectory(leaf, linear_schedule(4, eta="half"), TrajectoryNoise(x1=np.zeros((1, 2))))

@@ -58,6 +58,12 @@ class TestConfig:
             EstimatorConfig(kind="redge", eta="bogus")
         with pytest.raises(ValueError, match="strictly decreasing"):
             EstimatorConfig(kind="redge", steps=3, t1=1.0)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="temperature"):
+                EstimatorConfig(kind="gs-st", tau=tau)
+        for baseline in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="baseline"):
+                EstimatorConfig(kind="reinforce", baseline=baseline)
 
     def test_schedule_uses_t1(self):
         cfg = EstimatorConfig(kind="redge", steps=10, t1=0.5)

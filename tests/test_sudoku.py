@@ -1,5 +1,6 @@
-"""Sudoku benchmark tests: adjoint pairs behind ``linear_op``, grid validity,
-deterministic puzzle generation and the puzzle-file parser."""
+"""Sudoku benchmark tests: adjoint pairs behind the objective's two
+``Node.apply`` linear maps, grid validity, deterministic puzzle generation
+and the puzzle-file parser."""
 
 import numpy as np
 import pytest
