@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .categorical import FactorizedCategorical, exact_gradient, gumbel_noise, onehot_from_indices
-from .diffusion import Schedule, linear_schedule, sample_trajectory, uniform_grid, TrajectoryNoise
+from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_schedule,
+                        sample_trajectory, uniform_grid)
 from .estimators import (
     EstimatorConfig,
     covariance_apply,
@@ -71,10 +72,13 @@ def _schedule_moving_t1(n: int, t1: float) -> Schedule:
     """Linear schedule on the uniform n-step grid with only t1 moved.
 
     t1 must stay below the next timestep t2 of the uniform grid so the grid
-    remains strictly decreasing.
+    remains strictly decreasing; with n = 2 the only positive step is t = 1,
+    which cannot move.
     """
+    if n < 3:
+        raise ValueError(f"moving t1 needs n >= 3 timesteps, got n={n}")
     grid = uniform_grid(n)
-    t2 = grid[-3] if n > 2 else 1.0
+    t2 = grid[-3]
     if not 0.0 < t1 < t2:
         raise ValueError(f"t1 must lie in (0, {t2})")
     grid[-2] = t1
@@ -133,9 +137,9 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
     for t1, schedule in zip(t1_list, schedules):
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
-        traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
-        jac_full = jacobian(traj.soft_sample, leaf)
-        pre = traj.state_before_last
+        states, _ = composite_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
+        jac_full = jacobian(states[-1][1], leaf)
+        pre = states[-2][1]
         jac_pre = jacobian(pre, leaf)
         rep = margin(pre.value[0])
         raw.append((t1, schedule.coef_ratio(t1), operator_norm(jac_full), rep))

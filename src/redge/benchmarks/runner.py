@@ -36,7 +36,7 @@ from ..estimators import EstimatorConfig, estimate
 from .adam import AdamState, adam_step
 from . import gmm as gmm_mod
 from .polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
-from .sudoku import DIGITS, SudokuBatch, penalty_batch, is_valid_grid
+from .sudoku import DIGITS, SudokuBatch, is_valid_grid
 
 INIT_LOGIT_STD = 0.1
 
@@ -194,9 +194,8 @@ def _mc_hard_loss(batch: SudokuBatch, logits: np.ndarray, draws: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`."""
     tiled = np.tile(logits, (draws, 1))
-    hard = sample_onehot_rows(tiled, rng).onehot.reshape(draws, batch.total_free, DIGITS)
-    grids = batch.grids_from_free(hard)            # (draws, P, 81, 9)
-    return penalty_batch(grids).mean(axis=0)       # (P,)
+    digits = sample_onehot_rows(tiled, rng).indices.reshape(draws, batch.total_free)
+    return batch.hard_penalties(digits).mean(axis=0)   # (P,)
 
 
 _TASKS = ((PolyProgProblem, _PolyTask), (gmm_mod.GmmProblem, _GmmTask),

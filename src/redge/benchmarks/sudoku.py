@@ -209,6 +209,15 @@ class SudokuBatch:
             p.free_cells + GRID_CELLS * i for i, p in enumerate(self.problems)
         ])
         self.clue_matrix = np.concatenate([p.clue_onehot for p in self.problems], axis=0)
+        # Digit counts of the clues per (puzzle, group, digit), and for each
+        # stacked free cell the flat (puzzle, group, 0) key of its 3 groups.
+        self.clue_counts = group_sums(
+            self.clue_matrix.reshape(self.count, GRID_CELLS, DIGITS)).astype(np.int64)
+        cell_groups = np.zeros((GRID_CELLS, 3), dtype=np.int64)
+        for g, cells in enumerate(GROUPS):
+            cell_groups[cells, g // 9] = g
+        puzzle, cell = np.divmod(self.scatter_index, GRID_CELLS)
+        self.free_keys = (puzzle[:, None] * 27 + cell_groups[cell]) * DIGITS
 
     @property
     def count(self) -> int:
@@ -233,6 +242,18 @@ class SudokuBatch:
         ).copy()
         out[..., self.scatter_index, :] = free_rows
         return out.reshape(lead + (self.count, GRID_CELLS, DIGITS))
+
+    def hard_penalties(self, digits: np.ndarray) -> np.ndarray:
+        """Penalty of the hard completions with free-cell digits (D, F), as
+        (D, P): equal to ``penalty_batch`` of their one-hot grids, from one
+        count of (draw, puzzle, group, digit)."""
+        draws = digits.shape[0]
+        block = self.count * 27 * DIGITS
+        keys = (self.free_keys[None] + digits[:, :, None]
+                + block * np.arange(draws)[:, None, None])
+        counts = np.bincount(keys.ravel(), minlength=draws * block)
+        counts = counts.reshape(draws, self.count, 27, DIGITS) + self.clue_counts
+        return ((counts - 1) ** 2).sum(axis=(-2, -1))
 
     def argmax_grids(self, free_logits: np.ndarray) -> np.ndarray:
         """Hard argmax completion of every puzzle: (P, 81) digit indices."""

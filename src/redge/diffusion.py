@@ -20,10 +20,13 @@ a reference logits node, N(p, diag(v)) with v = max(p(1-p),
 path_variance_floor(K)).  Its denoiser gains a per-coordinate precision
 weighting 1/v.
 
-Everything here is built from tape nodes, so trajectories are differentiable
-with respect to the logits, and with respect to the reference moments exactly
-as far as gradients flow into the reference node (the logits themselves,
-their ``detach()`` or a constant).
+:func:`sample_trajectory` runs the chain on arrays and enters the tape as one
+node whose VJP is the closed-form reverse sweep, so trajectories are
+differentiable with respect to the logits, and with respect to the reference
+moments exactly as far as gradients flow into the reference node (the logits
+themselves, their ``detach()`` or a constant).  The denoisers and
+:func:`ddim_step` are also built from tape nodes; composed by
+:func:`composite_trajectory` they are the oracle for that sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Node, Tape, as_matrix, softmax_rows, stable_softmax
+from .tensor import Node, Tape, as_matrix, covariance_apply, softmax_rows, stable_softmax
 
 # Lower clamp of :func:`path_variance_floor`; it binds only above about
 # 900,000 categories.
@@ -196,6 +199,22 @@ def denoiser_jacobians(logits, x, t: float, schedule: Schedule):
     return sig, c * sig
 
 
+def _transition(s: float, t: float, schedule: Schedule, z):
+    """Coefficients (a, b) of the reverse step t -> s and its noise term
+    eta_s * z, None for a deterministic step; see :func:`ddim_step`."""
+    if not 0.0 <= s < t <= 1.0:
+        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
+    sig_s, sig_t, eta_s = schedule.sigma(s), schedule.sigma(t), schedule.eta(s)
+    r = math.sqrt(sig_s * sig_s - eta_s * eta_s)
+    a = schedule.alpha(s) - schedule.alpha(t) * r / sig_t
+    b = r / sig_t
+    if eta_s == 0.0:
+        return a, b, None
+    if z is None:
+        raise ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
+    return a, b, eta_s * as_matrix(z)
+
+
 def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
               z: Optional[np.ndarray] = None) -> Node:
     """Reverse transition from time t down to s: x_s = a*d + b*x_t + eta_s*z.
@@ -204,17 +223,10 @@ def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
     a = alpha_s - alpha_t * r / sigma_t.  ``z`` is the standard-normal draw
     for the step; it is required when eta_s > 0 and unused when eta_s = 0.
     """
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    sig_s, sig_t, eta_s = schedule.sigma(s), schedule.sigma(t), schedule.eta(s)
-    r = math.sqrt(sig_s * sig_s - eta_s * eta_s)
-    a = schedule.alpha(s) - schedule.alpha(t) * r / sig_t
-    b = r / sig_t
+    a, b, noise = _transition(s, t, schedule, z)
     x_s = d * a + x_t * b
-    if eta_s > 0.0:
-        if z is None:
-            raise ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
-        x_s = x_s + x_t.tape.constant(eta_s * as_matrix(z))
+    if noise is not None:
+        x_s = x_s + x_t.tape.constant(noise)
     return x_s
 
 
@@ -249,13 +261,18 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
 class Trajectory:
     """All intermediate states of one reverse pass, ordered by decreasing t."""
 
-    states: list          # [(t, Node)] from t=1 down to t=0
-    soft_sample: Node     # final state, a relaxed sample on the simplex
-    final_denoiser: Node  # denoiser output at the earliest positive timestep
+    states: list                 # [(t, array)] from t=1 down to t=0
+    soft_sample: Node            # final state, a relaxed sample on the simplex
+    final_denoiser: np.ndarray   # denoiser output at the earliest positive timestep
 
-    @property
-    def state_before_last(self) -> Node:
-        return self.states[-2][1]
+
+def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise) -> tuple:
+    """One z entry per transition; an empty ``step_z`` means all None."""
+    transitions = len(schedule.grid) - 1
+    step_z = noise.step_z or (None,) * transitions
+    if len(step_z) != transitions:
+        raise ValueError(f"step_z has {len(step_z)} entries for {transitions} transitions")
+    return step_z
 
 
 def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
@@ -267,12 +284,85 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     N(p, diag(max(p(1-p), path_variance_floor(K)))), so the chain starts at
     p + sqrt(v) * x1.  The moments carry gradients exactly as that node does:
     pass ``logits`` to differentiate through them, ``logits.detach()`` or a
-    constant to freeze them.
+    constant to freeze them; any other node that requires grad is rejected.
+
+    The chain runs on arrays and enters the tape as one node of ``logits``.
+    Its VJP is the closed-form reverse sweep over the stored denoiser outputs
+    d_k: for a cotangent g on the state after step k, u = Cov(d_k)(a_k g) is
+    the logits' share and b_k g + c_k w u the cotangent on the state before,
+    with w = 1 for the standard reference and w = 1/v otherwise.  It equals
+    the tape gradient of :func:`composite_trajectory`, bit for bit for the
+    standard reference.
     """
-    transitions = len(schedule.grid) - 1
-    step_z = noise.step_z or (None,) * transitions
-    if len(step_z) != transitions:
-        raise ValueError(f"step_z has {len(step_z)} entries for {transitions} transitions")
+    step_z = _checked_step_z(schedule, noise)
+    if reference is not None and reference is not logits and reference.requires_grad:
+        raise ValueError("reference must be the logits node itself or carry no gradient")
+    theta, eps = logits.value, as_matrix(noise.x1)
+    x = eps
+    if reference is not None:
+        mu = stable_softmax(reference.value)
+        floor = path_variance_floor(mu.shape[1])
+        v = np.maximum(mu * (1.0 - mu), floor)
+        lam, root = np.power(v, -1.0), np.sqrt(v)
+        x = mu + root * eps
+    through_moments = reference is logits
+    grid = schedule.grid
+    states = [(float(grid[0]), x)]
+    steps = []   # (d, c, a, b, shift) per transition; shift only through the moments
+    for k, z in enumerate(step_z):
+        t, s = float(grid[k]), float(grid[k + 1])
+        c = schedule.coef_ratio(t)
+        if reference is None:
+            shift = None
+            d = stable_softmax(theta + x * c)
+        else:
+            shift = x - mu * schedule.sigma(t) - schedule.alpha(t) / 2.0
+            d = stable_softmax(theta + lam * shift * c)
+        a, b, step_noise = _transition(s, t, schedule, z)
+        x = d * a + x * b
+        if step_noise is not None:
+            x = x + step_noise
+        steps.append((d, c, a, b, shift if through_moments else None))
+        states.append((s, x))
+
+    def vjp(g):
+        grad = None
+        g_lam = g_mu = 0.0
+        for k in reversed(range(len(steps))):
+            d, c, a, b, shift = steps[k]
+            u = covariance_apply(d, g * a)
+            grad = u if grad is None else grad + u
+            if not (k or through_moments):
+                break   # the first state carries no gradient
+            if reference is None:
+                g = g * b + u * c
+            else:
+                h = u * c
+                g = g * b + h * lam
+                if through_moments:
+                    g_lam = g_lam + h * shift
+                    g_mu = g_mu - h * lam * schedule.sigma(float(grid[k]))
+        if through_moments:
+            # back through x1 = mu + sqrt(v) eps, lam = 1/v, v = clamp(p(1-p))
+            # and p = softmax(logits)
+            g_v = g * eps / (2.0 * root) - g_lam * lam * lam
+            g_v = g_v * (mu * (1.0 - mu) > floor)
+            g_mu = g_mu + g + g_v * (1.0 - 2.0 * mu)
+            grad = grad + covariance_apply(mu, g_mu)
+        return grad
+
+    return Trajectory(states=states, soft_sample=logits.apply(x, vjp), final_denoiser=d)
+
+
+def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
+                         reference: Optional[Node] = None):
+    """The oracle for :func:`sample_trajectory`: the same chain composed on the
+    tape from :func:`denoiser` (or :func:`denoiser_cov`) and :func:`ddim_step`.
+
+    Returns the states [(t, Node)] and the final denoiser node; gradients
+    flow into ``reference`` as its node allows.
+    """
+    step_z = _checked_step_z(schedule, noise)
     tape = logits.tape
     if reference is None:
         x = tape.constant(noise.x1)
@@ -282,12 +372,12 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         x = mu + v.sqrt() * tape.constant(noise.x1)
     states = [(float(schedule.grid[0]), x)]
     d = None
-    for k in range(transitions):
+    for k, z in enumerate(step_z):
         t, s = float(schedule.grid[k]), float(schedule.grid[k + 1])
         if reference is None:
             d = denoiser(logits, x, t, schedule)
         else:
             d = denoiser_cov(logits, x, t, schedule, mu, v)
-        x = ddim_step(s, t, x, d, schedule, step_z[k])
+        x = ddim_step(s, t, x, d, schedule, z)
         states.append((s, x))
-    return Trajectory(states=states, soft_sample=x, final_denoiser=d)
+    return states, d

@@ -23,8 +23,8 @@ reinmax    Gumbel-max on the logits         hard sample  :func:`reinmax_apply`
 gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the tempered
                                                          softmax of the same perturbation
 reinforce  Gumbel-max on the logits         hard sample  :func:`reinforce_apply`
-redge      chain, then Gumbel-max on the    hard sample  one backward sweep along the
-           last denoiser output                          chain, seeded with g
+redge      chain, then Gumbel-max on the    hard sample  the chain node's closed-form
+           last denoiser output                          reverse sweep, seeded with g
 redge-cov  as redge, from N(p, v), the      hard sample  as redge; through p and v
            moment-matched reference                      too with ``base_backprop``
 redge-max  as redge                         hard sample  as redge, then the last-step
@@ -197,7 +197,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     if kind not in _DIFFUSION_KINDS:
         return estimate_for_sample(dist, f, config, sample(dist, cat_rng))
 
-    # The chain runs on a tape so that its sweep can carry grad f back.
+    # The chain is one tape node whose closed-form sweep carries grad f back.
     schedule = config.schedule()
     tape = Tape()
     logits = tape.lift(dist.logits, requires_grad=True)
@@ -206,7 +206,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     if kind == "redge-cov":
         reference = logits if config.base_backprop else logits.detach()
     traj = sample_trajectory(logits, schedule, noise, reference)
-    soft, d_last = traj.soft_sample.value, traj.final_denoiser.value
+    soft, d_last = traj.soft_sample.value, traj.final_denoiser
     hard = None
     if kind != "redge-soft":
         # One hard draw, from the denoiser at the earliest positive timestep.

@@ -275,11 +275,55 @@ def check_reference_moments(seed: int) -> CheckResult:
     noise = diffusion.draw_noise(schedule, 3, 4, rng)
     tape = Tape()
     logits = tape.constant(dist.logits)
-    got = diffusion.sample_trajectory(logits, schedule, noise, logits).states[0][1].value
+    got = diffusion.sample_trajectory(logits, schedule, noise, logits).states[0][1]
     p = dist.probs
     v = np.maximum(p * (1 - p) ** 2 + (1 - p) * p**2, diffusion.path_variance_floor(4))
     want = p + np.sqrt(v) * noise.x1
     return _compare(f"reference_moments[seed={seed}]", got, want, 1e-12, relative=False)
+
+
+def _chain_outputs(fused: bool, theta, schedule, noise, reference: str, cotangent):
+    """Soft sample, final denoiser and logits gradient under ``cotangent``."""
+    tape = Tape()
+    logits = tape.lift(theta, requires_grad=True)
+    ref = {"standard": None, "logits": logits, "detach": logits.detach(),
+           "constant": tape.constant(theta)}[reference]
+    if fused:
+        traj = diffusion.sample_trajectory(logits, schedule, noise, ref)
+        soft, d_last = traj.soft_sample, traj.final_denoiser
+    else:
+        states, d_node = diffusion.composite_trajectory(logits, schedule, noise, ref)
+        soft, d_last = states[-1][1], d_node.value
+    tape.backward(soft, seed=cotangent)
+    return soft.value, d_last, grad_or_zero(logits)
+
+
+def check_fused_chain(seed: int) -> list:
+    """The one-node chain of ``sample_trajectory`` against its composite
+    oracle, per reference and noise level over K in {2, 3, 20} and n in
+    {2, 4, 16}: bit for bit for the deterministic standard chain, else to
+    1e-12 relative (the worst quantity is reported)."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for reference in ("standard", "logits", "detach", "constant"):
+        for eta in ("zero", "half", "full"):
+            tol = 0.0 if (reference, eta) == ("standard", "zero") else 1e-12
+            worst = None
+            for k in (2, 3, 20):
+                for n in (2, 4, 16):
+                    theta = 1.5 * rng.standard_normal((2, k))
+                    schedule = diffusion.linear_schedule(n, eta=eta)
+                    noise = diffusion.draw_noise(schedule, 2, k, rng)
+                    cotangent = rng.standard_normal((2, k))
+                    got, want = (_chain_outputs(fused, theta, schedule, noise, reference,
+                                                cotangent) for fused in (True, False))
+                    for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
+                        r = _compare(f"fused_chain_{what}[{reference},eta={eta},K={k},n={n},"
+                                     f"seed={seed}]", a, b, tol)
+                        if worst is None or not r.error <= worst.error:
+                            worst = r
+            results.append(worst)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +427,7 @@ def run_gradcheck(seeds=(0, 1, 2, 3, 4), name_filter: Optional[str] = None) -> l
             if name_filter and name_filter not in check.__name__:
                 continue
             results.append(check(seed))
-        if not name_filter or name_filter in "check_pathwise_fd":
-            results.extend(check_pathwise_fd(seed))
+        for check in (check_fused_chain, check_pathwise_fd):
+            if not name_filter or name_filter in check.__name__:
+                results.extend(check(seed))
     return results

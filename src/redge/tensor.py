@@ -75,6 +75,20 @@ def _row_total(x: np.ndarray) -> np.ndarray:
     return s[..., None]
 
 
+def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
+    """``op(x, col)`` for a (..., 1) column ``col`` whose leading axes cover
+    those of ``x``; column-wise for small K (fast path, elementwise the same
+    as the broadcast)."""
+    if x.shape[-1] > 16:
+        return op(x, col, out=out)
+    if out is None:
+        out = np.empty(col.shape[:-1] + x.shape[-1:])
+    c = col[..., 0]
+    for k in range(x.shape[-1]):
+        op(x[..., k], c, out=out[..., k])
+    return out
+
+
 def stable_softmax(x) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
@@ -83,11 +97,10 @@ def stable_softmax(x) -> np.ndarray:
     collapse to all zeros.
     """
     x = as_matrix(x)
-    z = x - _row_max(x)
+    z = _by_row(np.subtract, x, _row_max(x))
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    z /= _row_total(z)
-    return z
+    return _by_row(np.divide, z, _row_total(z), out=z)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -285,7 +298,7 @@ class Node:
 
 def covariance_apply(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise action of diag(p) - p p^T on g; leading axes of g broadcast."""
-    return p * (g - _row_total(p * g))
+    return p * _by_row(np.subtract, g, _row_total(p * g))
 
 
 def softmax_rows(x: Node) -> Node:
@@ -308,7 +321,9 @@ class Tape:
     Each node refers back to its tape, so every tape is a reference cycle: it
     is freed by the cyclic garbage collector rather than when its last outside
     reference goes, and the peak memory of a loop that builds many large tapes
-    depends on when that collector runs.
+    depends on when that collector runs.  A node built with
+    :meth:`Node.apply` keeps what its VJP closes over alive just as long: the
+    diffusion chain's single node holds every stored denoiser output.
     """
 
     def __init__(self):

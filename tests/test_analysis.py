@@ -142,6 +142,12 @@ class TestDecayStudy:
         with pytest.raises(ValueError):
             jacobian_decay_study(np.zeros((2, 2)), [0.2], n=4)
 
+    def test_two_timesteps_leave_no_t1_to_move(self):
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            jacobian_decay_study(np.zeros((1, 2)), [0.2], n=2)
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            transport_slice([0.3], [0.5], [0.2], n=2)
+
     def test_csv_rows(self):
         study = default_decay_study(np.zeros((1, 2)), np.array([[0.7, -0.2]]))
         header, rows = study.csv_rows()

@@ -136,7 +136,7 @@ def reference_moments(logits):
 
     def first_state(x1):
         noise = TrajectoryNoise(x1=np.full(logits.shape, x1), step_z=(None,))
-        return sample_trajectory(node, linear_schedule(2), noise, node).states[0][1].value
+        return sample_trajectory(node, linear_schedule(2), noise, node).states[0][1]
 
     mu = first_state(0.0)
     return mu, (first_state(1.0) - mu) ** 2
@@ -254,7 +254,7 @@ class TestStochasticStep:
         noise = draw_noise(sched, draws, 2, rng)
         traj = sample_trajectory(leaf, sched, noise)
         with np.errstate(divide="ignore"):
-            hard = sample_onehot_rows(np.log(traj.final_denoiser.value), rng)
+            hard = sample_onehot_rows(np.log(traj.final_denoiser), rng)
         emp = np.bincount(hard.indices, minlength=2) / draws
         target = FactorizedCategorical(logit_row).probs[0]
         assert 0.5 * np.abs(emp - target).sum() <= 0.05
@@ -302,7 +302,7 @@ class TestTrajectory:
         noise_p = TrajectoryNoise(x1=noise.x1[:, perm], step_z=noise.step_z)
         traj_p = sample_trajectory(tape2.lift(logits[:, perm]), sched, noise_p)
         for (_, a), (_, b) in zip(traj.states, traj_p.states):
-            np.testing.assert_allclose(a.value[:, perm], b.value, atol=1e-14)
+            np.testing.assert_allclose(a[:, perm], b, atol=1e-14)
 
     def test_small_t1_concentrates_on_vertices(self):
         draws = 1000
@@ -327,7 +327,7 @@ class TestTrajectory:
         tape = Tape()
         node = tape.lift(logits)
         traj = sample_trajectory(node, sched, noise, node)
-        x1 = traj.states[0][1].value
+        x1 = traj.states[0][1]
         np.testing.assert_allclose(x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
 
 
@@ -399,3 +399,17 @@ def test_step_z_needs_one_entry_per_transition():
     # a noisy step still needs its draw when step_z is left empty
     with pytest.raises(ValueError, match="needs its noise"):
         sample_trajectory(leaf, linear_schedule(4, eta="half"), TrajectoryNoise(x1=np.zeros((1, 2))))
+
+
+def test_reference_must_be_the_logits_or_frozen():
+    tape = Tape()
+    logits = tape.lift(np.zeros((1, 3)), requires_grad=True)
+    other = tape.lift(np.ones((1, 3)), requires_grad=True)
+    sched = linear_schedule(3)
+    noise = draw_noise(sched, 1, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="reference must be the logits node"):
+        sample_trajectory(logits, sched, noise, other)
+    with pytest.raises(ValueError, match="reference must be the logits node"):
+        sample_trajectory(logits, sched, noise, other * 2.0)
+    for frozen in (other.detach(), tape.constant(np.ones((1, 3))), logits):
+        assert np.isfinite(sample_trajectory(logits, sched, noise, frozen).soft_sample.value).all()

@@ -1,11 +1,12 @@
 """The full oracle suite: n=2 reduction identities, unbiasedness by
-enumeration, closed-form Jacobians and frozen-noise finite differences."""
+enumeration, closed-form Jacobians, the one-node diffusion chain against its
+composite oracle and frozen-noise finite differences."""
 
 from redge.gradcheck import run_gradcheck
 
 
 def test_run_gradcheck_passes_in_full():
     results = run_gradcheck()
-    assert len(results) == 95
+    assert len(results) == 155
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)

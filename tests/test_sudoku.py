@@ -1,6 +1,6 @@
 """Sudoku benchmark tests: adjoint pairs behind the objective's two
-``Node.apply`` linear maps, grid validity, deterministic puzzle generation
-and the puzzle-file parser."""
+``Node.apply`` linear maps, the digit-count penalty against the grid form,
+grid validity, deterministic puzzle generation and the puzzle-file parser."""
 
 import numpy as np
 import pytest
@@ -47,6 +47,22 @@ def test_embed_forward_and_adjoint_are_a_pair():
     tape.backward(out, seed=g)
     linear_part = out.value - batch.clue_matrix
     assert inner(g, linear_part) == pytest.approx(inner(leaf.grad, x), rel=1e-12)
+
+
+def test_hard_penalties_match_the_grid_form():
+    # Counting digits per (draw, puzzle, group) gives exactly the penalty of
+    # the assembled one-hot grids, on random and on near-solved completions.
+    rng = np.random.default_rng(2)
+    problems = generate_puzzles(4, 5)
+    batch = SudokuBatch(problems)
+    solutions = np.concatenate([_complete_grid(rng)[p.free_cells] - 1 for p in problems])
+    for trial in range(20):
+        digits = rng.integers(0, DIGITS, (3, batch.total_free))
+        if trial % 2:
+            digits = np.where(rng.random(digits.shape) < 0.9, solutions, digits)
+        onehots = np.eye(DIGITS)[digits]
+        want = penalty_batch(batch.grids_from_free(onehots))
+        np.testing.assert_array_equal(batch.hard_penalties(digits), want)
 
 
 @pytest.mark.parametrize("seed", range(5))

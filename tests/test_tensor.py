@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from redge.tensor import (
     Tape,
+    _row_max,
+    _row_total,
     as_matrix,
+    covariance_apply,
     finite_diff_gradient,
     grad_or_zero,
     jacobian,
@@ -204,6 +207,24 @@ def test_vjp_matches_central_differences(name, length, categories, seed):
     cotangent = rng.standard_normal(build(Tape().constant(x)).shape)
     scalar = lambda node: build(node).dot(cotangent)
     assert rel_err(tape_grad(scalar, x), fd_grad(scalar, x)) <= 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(length=st.integers(1, 4), categories=st.integers(1, 24), reps=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_rule_equals_the_broadcast(length, categories, reps, seed):
+    """Up to K = 16 the (L, 1) row broadcasts run one column at a time; the
+    results are bit for bit those of the broadcast formulas over the same row
+    reductions."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-30.0, 30.0, (length, categories))
+    z = np.exp(np.maximum(x - _row_max(x), -745.0))
+    np.testing.assert_array_equal(stable_softmax(x), z / _row_total(z))
+    p = stable_softmax(x)
+    g = rng.standard_normal((reps, length, categories))
+    want = p * (g - _row_total(p * g))
+    np.testing.assert_array_equal(covariance_apply(p, g), want)
+    np.testing.assert_array_equal(covariance_apply(p, g[0]), want[0])
 
 
 class TestSoftmax:
