@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..categorical import FactorizedCategorical, sample_onehot_rows
+from ..categorical import FactorizedCategorical, gumbel_max
 from ..estimators import EstimatorConfig, estimate
 from .adam import AdamState, adam_step
 from . import gmm as gmm_mod
@@ -192,9 +192,12 @@ class _SudokuTask(_Task):
 
 def _mc_hard_loss(batch: SudokuBatch, logits: np.ndarray, draws: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`."""
-    tiled = np.tile(logits, (draws, 1))
-    digits = sample_onehot_rows(tiled, rng).indices.reshape(draws, batch.total_free)
+    """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`.
+
+    The digits are those of `sample_onehot_rows` on the logits tiled `draws`
+    times, from the same stream, without the tiled copy or the one-hot rows.
+    """
+    digits = gumbel_max(logits, rng, (draws,))          # (draws, F)
     return batch.hard_penalties(digits).mean(axis=0)   # (P,)
 
 

@@ -249,11 +249,12 @@ class SudokuBatch:
         count of (draw, puzzle, group, digit)."""
         draws = digits.shape[0]
         block = self.count * 27 * DIGITS
-        keys = (self.free_keys[None] + digits[:, :, None]
-                + block * np.arange(draws)[:, None, None])
+        keys = digits[:, :, None] + self.free_keys
+        keys += block * np.arange(draws)[:, None, None]
         counts = np.bincount(keys.ravel(), minlength=draws * block)
-        counts = counts.reshape(draws, self.count, 27, DIGITS) + self.clue_counts
-        return ((counts - 1) ** 2).sum(axis=(-2, -1))
+        counts = counts.reshape(draws, self.count, 27, DIGITS)
+        counts += self.clue_counts - 1
+        return np.square(counts, out=counts).sum(axis=(-2, -1))
 
     def argmax_grids(self, free_logits: np.ndarray) -> np.ndarray:
         """Hard argmax completion of every puzzle: (P, 81) digit indices."""

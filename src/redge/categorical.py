@@ -64,9 +64,13 @@ class FactorizedCategorical:
 
 
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(shape)
-    np.clip(u, _UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP, out=u)
-    return -np.log(-np.log(u))
+    """-log(-log(u)) of clipped uniforms, computed in the one array they fill."""
+    g = rng.random(shape)
+    np.clip(g, _UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def sample_onehot_rows(log_weights: np.ndarray, rng: np.random.Generator) -> OneHotSample:
@@ -77,9 +81,16 @@ def sample_onehot_rows(log_weights: np.ndarray, rng: np.random.Generator) -> One
     draws coincide with plain categorical draws under a shared stream.
     """
     log_weights = as_matrix(log_weights)
-    g = gumbel_noise(log_weights.shape, rng)
-    indices = np.argmax(log_weights + g, axis=1)
-    return onehot_from_indices(indices, log_weights.shape[1])
+    return onehot_from_indices(gumbel_max(log_weights, rng), log_weights.shape[1])
+
+
+def gumbel_max(log_weights: np.ndarray, rng: np.random.Generator, draws=()) -> np.ndarray:
+    """Indices argmax(log_weights + Gumbel noise) along the last axis, for
+    noise of shape ``draws + log_weights.shape``: the stream and the indices of
+    one draw from ``log_weights`` stacked ``draws`` times, without the stack."""
+    g = gumbel_noise(tuple(draws) + log_weights.shape, rng)
+    g += log_weights
+    return np.argmax(g, axis=-1)
 
 
 def sample(dist: FactorizedCategorical, rng: np.random.Generator) -> OneHotSample:

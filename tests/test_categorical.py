@@ -11,9 +11,11 @@ from redge.categorical import (
     FactorizedCategorical,
     enumerate_onehots,
     exact_gradient,
+    gumbel_max,
     joint_probability,
     onehot_from_indices,
     sample,
+    sample_onehot_rows,
 )
 from redge.estimators import EstimatorConfig, covariance_apply, estimate_for_sample
 
@@ -61,6 +63,15 @@ class TestSampling:
         a = [sample(dist, np.random.default_rng(42)).indices.tolist() for _ in range(5)]
         b = [sample(dist, np.random.default_rng(42)).indices.tolist() for _ in range(5)]
         assert a == b
+
+    def test_stacked_gumbel_max_is_the_tiled_draw(self):
+        # Noise for `draws` stacked copies is the stream of one draw from the
+        # tiled weights, so the indices agree exactly.
+        w = np.random.default_rng(4).normal(size=(5, 3))
+        tiled = sample_onehot_rows(np.tile(w, (7, 1)), np.random.default_rng(8)).indices
+        stacked = gumbel_max(w, np.random.default_rng(8), (7,))
+        assert stacked.shape == (7, 5)
+        np.testing.assert_array_equal(stacked.ravel(), tiled)
 
     def test_empirical_tv_bound(self):
         # TV(empirical, probs) <= 3 sqrt(K/N) per row at N = 1e5
