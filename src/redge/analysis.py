@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .categorical import FactorizedCategorical, exact_gradient, gumbel_noise, onehot_from_indices
+from .categorical import FactorizedCategorical, exact_gradient, gumbel_max
 from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_schedule,
                         sample_trajectory, uniform_grid)
 from .estimators import (
@@ -38,6 +38,15 @@ from .estimators import (
 from .tensor import Node, Tape, as_matrix, jacobian
 
 _TIE_TOL = 1e-12
+
+# Decay-sweep tuning: the target Jacobian norm, the smallest c, the points, the
+# factor past the threshold, the re-sizing rounds and the default noise seed.
+TARGET_NORM = 1e-6
+SWEEP_C_MIN = 1.0
+SWEEP_POINTS = 12
+SWEEP_SAFETY = 1.6
+SWEEP_ROUNDS = 4
+NOISE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class DecayStudy:
 
 
 def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
-                         x1=None, noise_seed: int = 0) -> DecayStudy:
+                         x1=None) -> DecayStudy:
     """Measure Jacobian-norm decay as the earliest timestep shrinks.
 
     The timesteps above t1 stay fixed (the base uniform grid); only the
@@ -129,7 +138,7 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
     t1_list = [float(t) for t in t1_list]
     schedules = [_schedule_moving_t1(n, t1) for t1 in t1_list]
     if x1 is None:
-        x1 = np.random.default_rng(noise_seed).standard_normal((1, categories))
+        x1 = np.random.default_rng(NOISE_SEED).standard_normal((1, categories))
     x1 = as_matrix(x1)
 
     raw = []
@@ -182,21 +191,18 @@ def fit_decay_slope(points, chain_bound: float) -> Optional[float]:
     return float(slope)
 
 
-def decay_sweep_coefs(limit_margin: float, categories: int, points: int = 12,
-                      target_norm: float = 1e-6, c_min: float = 1.0,
-                      safety: float = 1.6) -> np.ndarray:
+def decay_sweep_coefs(limit_margin: float, categories: int) -> np.ndarray:
     """Log-spaced c values covering the knee and the bound-implied threshold.
 
-    The threshold is where 2K(K-1) exp(-m c / 2) crosses ``target_norm``; the
+    The threshold is where 2K(K-1) exp(-m c / 2) crosses ``TARGET_NORM``; the
     safety factor absorbs the drift of the margin as t1 shrinks (the probe
     margin is measured at a moderate t1, the limit margin is smaller).
     """
-    c_star = bound_threshold(limit_margin, categories, target_norm)
-    return np.geomspace(c_min, safety * c_star, points)
+    c_star = bound_threshold(limit_margin, categories)
+    return np.geomspace(SWEEP_C_MIN, SWEEP_SAFETY * c_star, SWEEP_POINTS)
 
 
-def default_decay_study(logits, x1, n: int = 4, points: int = 12,
-                        max_rounds: int = 4) -> DecayStudy:
+def default_decay_study(logits, x1, n: int = 4) -> DecayStudy:
     """Probe the margin at a moderate t1, then sweep past the bound threshold.
 
     The margin of the pre-final state drifts downward as t1 shrinks, so the
@@ -210,9 +216,8 @@ def default_decay_study(logits, x1, n: int = 4, points: int = 12,
     if probe.points[0].on_boundary or probe.limit_margin <= 0.0:
         raise ValueError("probe trajectory lands on the decision boundary")
     margin_guess = probe.limit_margin
-    study = None
-    for _ in range(max_rounds):
-        cs = decay_sweep_coefs(margin_guess, categories, points=points)
+    for _ in range(SWEEP_ROUNDS):
+        cs = decay_sweep_coefs(margin_guess, categories)
         study = jacobian_decay_study(logits, [Schedule.t_for_coef(c) for c in cs], n=n, x1=x1)
         c_star = bound_threshold(study.limit_margin, categories)
         if any(p.c >= c_star for p in study.points):
@@ -221,8 +226,12 @@ def default_decay_study(logits, x1, n: int = 4, points: int = 12,
     return study
 
 
-def bound_threshold(limit_margin: float, categories: int, target_norm: float = 1e-6) -> float:
-    """The c at which 2K(K-1) exp(-margin c / 2) falls to ``target_norm``."""
+def bound_threshold(limit_margin: float, categories: int,
+                    target_norm: float = TARGET_NORM) -> float:
+    """The c at which 2K(K-1) exp(-margin c / 2) falls to ``target_norm``;
+    the margin must be finite and positive (a tie has no threshold)."""
+    if not (np.isfinite(limit_margin) and limit_margin > 0.0):
+        raise ValueError(f"margin must be finite and positive, got {limit_margin}")
     mk = 2.0 * categories * (categories - 1)
     return 2.0 * np.log(mk / target_norm) / limit_margin
 
@@ -368,9 +377,7 @@ def _batched_single_shot(config, dist, f, replications, rng):
     """Vectorized replications for the single-draw estimators: an (R, L, K)
     stack of Gumbel-max draws pushed through the estimators' own formulas."""
     p = dist.probs
-    g = gumbel_noise((replications,) + p.shape, rng)
-    indices = np.argmax(dist.logits + g, axis=-1)
-    onehots = onehot_from_indices(indices, dist.categories).onehot.reshape(g.shape)
+    onehots = np.eye(dist.categories)[gumbel_max(dist.logits, rng, (replications,))]
     if config.kind == "reinforce":
         return reinforce_apply(p, onehots, f.value_batch(onehots), config.baseline)
     gx = f.grad_batch(onehots)

@@ -4,7 +4,7 @@ variational inference for a Gaussian mixture, and Sudoku completion."""
 from .adam import AdamState, adam_step
 from .polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
 from .gmm import GmmProblem, clustering_accuracy, exact_objective_value, gmm_generate
-from .sudoku import SudokuProblem, generate_puzzles, parse_puzzles, sudoku_penalty
+from .sudoku import SudokuProblem, generate_puzzles, parse_puzzles
 from .runner import run_benchmark, write_summary_json, write_trace_csv
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SudokuProblem",
     "generate_puzzles",
     "parse_puzzles",
-    "sudoku_penalty",
     "run_benchmark",
     "write_trace_csv",
     "write_summary_json",

@@ -28,6 +28,8 @@ class PolyProgProblem:
     relaxation: str = "power"
 
     def __post_init__(self):
+        if self.length < 1:
+            raise ValueError(f"length must be at least 1, got {self.length}")
         if self.exponent < 1.0:
             raise ValueError("exponent must be >= 1")
         if not 0.0 < self.target < 1.0:

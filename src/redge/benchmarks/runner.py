@@ -48,12 +48,9 @@ class RunResult:
     diverged: bool = False
 
 
-def _step_rng(seed: int, step: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, step)))
-
-
-def _init_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tag)))
+def _stream(seed: int, n: int) -> np.random.Generator:
+    """The random stream ``SeedSequence(entropy=(seed, n))``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, n)))
 
 
 def format_float(x: float) -> str:
@@ -95,7 +92,7 @@ class _Task:
         self.echo = {"lr": lr, **echo}
 
     def estimate(self, dist: FactorizedCategorical, f, step: int):
-        return estimate(dist, f, self.est_cfg, _step_rng(self.seed, step))
+        return estimate(dist, f, self.est_cfg, _stream(self.seed, step))
 
 
 class _PolyTask(_Task):
@@ -175,15 +172,14 @@ class _SudokuTask(_Task):
         (logits,) = params
         est = self.estimate(FactorizedCategorical(logits), self.batch.objective, step)
         loss = _mc_hard_loss(self.batch, logits, self.mc_draws,
-                             _step_rng(self.seed, self.mc_tag + step)).mean()
+                             _stream(self.seed, self.mc_tag + step)).mean()
         return [est.grad], float(loss)
 
     def summary(self, params, trace):
         logits, batch = params[0], self.batch
         per_puzzle_loss = _mc_hard_loss(batch, logits, self.mc_draws,
-                                        _step_rng(self.seed, self.mc_tag + self.steps + 1))
-        hard = batch.argmax_grids(logits)
-        solved = np.array([is_valid_grid(hard[i]) for i in range(batch.count)])
+                                        _stream(self.seed, self.mc_tag + self.steps + 1))
+        solved = np.array([is_valid_grid(grid) for grid in batch.argmax_grids(logits)])
         return {"mean_loss": float(per_puzzle_loss.mean()),
                 "std_loss": float(per_puzzle_loss.std()),
                 "solved_percent": float(100.0 * solved.mean()),
@@ -222,7 +218,7 @@ def run_benchmark(problem, est_cfg: EstimatorConfig, steps: int, seed: int,
     if cls is None:
         raise TypeError(f"unknown problem type {type(problem)!r}")
     task = cls(problem, est_cfg, steps, seed, **kwargs)
-    params = task.init(_init_rng(seed, task.init_tag))
+    params = task.init(_stream(seed, task.init_tag))
     adams = [AdamState(lr=task.lr) for _ in params]
     trace = []
     diverged = False

@@ -9,9 +9,9 @@ a valid completion is all ones, so the penalty
 is zero exactly on valid grids.  Clue cells are frozen one-hot constants and
 never optimized; only the free cells carry logits.
 
-Group sums and their adjoint are implemented with reshapes so that many
-puzzles can be stacked into one (P*81)x9 matrix and optimized in a single
-pass, which is what the batched benchmark runner does.
+Group sums and their adjoint work over leading axes, so the free cells of
+many puzzles stack into one logit matrix that the batched runner optimizes in
+one pass; :meth:`SudokuBatch.objective` is one closed-form node over them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ def _group_indices():
 
 
 GROUPS = _group_indices()
+_GROUP_NAMES = [f"{kind} {i + 1}" for kind in ("row", "column", "block") for i in range(9)]
 
 
 def group_sums(grids: np.ndarray) -> np.ndarray:
@@ -66,18 +67,6 @@ def group_sums_adjoint(g: np.ndarray) -> np.ndarray:
     out += (block_g.reshape(lead + (3, 3, 9))[..., :, None, :, None, :]
             * np.ones(lead + (3, 3, 3, 3, 9))).reshape(lead + (9, 9, 9))
     return out.reshape(lead + (81, 9))
-
-
-def sudoku_penalty(x: Node, puzzles: int = 1) -> Node:
-    """Total quadratic group-violation penalty of a (puzzles*81)x9 matrix."""
-    if x.shape != (puzzles * GRID_CELLS, DIGITS):
-        raise ValueError(f"expected shape {(puzzles * GRID_CELLS, DIGITS)}, got {x.shape}")
-
-    def adjoint(g):
-        return group_sums_adjoint(g.reshape(puzzles, 27, DIGITS)).reshape(puzzles * GRID_CELLS, DIGITS)
-
-    sums = group_sums(x.value.reshape(puzzles, GRID_CELLS, DIGITS)).reshape(puzzles * 27, DIGITS)
-    return (x.apply(sums, adjoint) - 1.0).pow(2.0).sum()
 
 
 def penalty_batch(grids: np.ndarray) -> np.ndarray:
@@ -110,6 +99,10 @@ class SudokuProblem:
         onehot = np.zeros((GRID_CELLS, DIGITS))
         given = np.flatnonzero(clues > 0)
         onehot[given, clues[given] - 1] = 1.0
+        repeats = np.argwhere(group_sums(onehot) > 1)
+        if repeats.size:
+            group, digit = repeats[0]
+            raise ValueError(f"clue digit {digit + 1} repeats in {_GROUP_NAMES[group]}")
         return cls(clues=clues, free_cells=free, clue_onehot=onehot)
 
     @property
@@ -132,7 +125,10 @@ def parse_puzzles(text: str):
         if bad is not None:
             raise ValueError(f"line {lineno}: {bad!r} is neither a digit nor '.'")
         digits = [0 if ch == "." else int(ch) for ch in line]
-        problems.append(SudokuProblem.from_clues(digits))
+        try:
+            problems.append(SudokuProblem.from_clues(digits))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     return problems
 
 
@@ -194,16 +190,13 @@ def generate_puzzles(count: int, seed: int, min_clues: int = 28, max_clues: int 
 class SudokuBatch:
     """Stacks the free cells of several puzzles into one logit matrix.
 
-    The objective embeds the stacked free rows back into the (P*81)x9 grid
-    matrix (clue rows are constants), then sums the quadratic penalty over
-    puzzles.  Gradients never touch clue cells by construction.
+    The objective sums the penalty of the grids assembled from the free and
+    clue rows; its VJP returns only the free rows, so clue cells get none.
     """
 
     def __init__(self, problems):
         self.problems = list(problems)
-        self.free_counts = np.array([p.free_count for p in self.problems])
-        offsets = np.concatenate([[0], np.cumsum(self.free_counts)])
-        self.total_free = int(offsets[-1])
+        self.total_free = sum(p.free_count for p in self.problems)
         # global row index (puzzle-major) of each stacked free cell
         self.scatter_index = np.concatenate([
             p.free_cells + GRID_CELLS * i for i, p in enumerate(self.problems)
@@ -223,23 +216,22 @@ class SudokuBatch:
     def count(self) -> int:
         return len(self.problems)
 
-    def embed(self, x: Node) -> Node:
-        """Scatter stacked free rows into the full grid matrix, add clues."""
-        idx = self.scatter_index
-        grid = np.zeros((self.count * GRID_CELLS, DIGITS))
-        grid[idx] = x.value
-        return x.apply(grid, lambda g: g[idx]) + x.tape.constant(self.clue_matrix)
-
     def objective(self, x: Node) -> Node:
-        return sudoku_penalty(self.embed(x), puzzles=self.count)
+        """One node: sum of excess^2, excess = group sums of the grids - 1; the
+        VJP is the free rows of the group-sum adjoint of 2 g excess."""
+        excess = group_sums(self.grids_from_free(x.value)) - 1.0
+        value = np.array([[np.power(excess, 2.0).sum()]])
+
+        def vjp(g):
+            cells = group_sums_adjoint(g[0, 0] * 2.0 * excess)
+            return cells.reshape(-1, DIGITS)[self.scatter_index]
+
+        return x.apply(value, vjp)
 
     def grids_from_free(self, free_rows: np.ndarray) -> np.ndarray:
         """Assemble (..., P, 81, 9) grids from stacked free rows (..., F, 9)."""
         lead = free_rows.shape[:-2]
-        out = np.broadcast_to(
-            self.clue_matrix.reshape((1,) * len(lead) + self.clue_matrix.shape),
-            lead + self.clue_matrix.shape,
-        ).copy()
+        out = np.broadcast_to(self.clue_matrix, lead + self.clue_matrix.shape).copy()
         out[..., self.scatter_index, :] = free_rows
         return out.reshape(lead + (self.count, GRID_CELLS, DIGITS))
 
@@ -258,7 +250,6 @@ class SudokuBatch:
 
     def argmax_grids(self, free_logits: np.ndarray) -> np.ndarray:
         """Hard argmax completion of every puzzle: (P, 81) digit indices."""
-        free_rows = np.zeros((self.total_free, DIGITS))
-        free_rows[np.arange(self.total_free), np.argmax(free_logits, axis=1)] = 1.0
-        grids = self.grids_from_free(free_rows)
-        return np.argmax(grids, axis=-1)
+        digits = np.concatenate([p.clues for p in self.problems]) - 1
+        digits[self.scatter_index] = np.argmax(free_logits, axis=1)
+        return digits.reshape(self.count, GRID_CELLS)

@@ -113,8 +113,8 @@ class Schedule:
     @staticmethod
     def t_for_coef(c: float) -> float:
         """Inverse of :meth:`coef_ratio`: the t in (0, 1) with (1-t)/t^2 = c."""
-        if c <= 0.0:
-            raise ValueError("c must be positive")
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"c must be finite and positive, got {c}")
         return (-1.0 + np.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
 
     @property
@@ -266,12 +266,15 @@ class Trajectory:
     final_denoiser: np.ndarray   # denoiser output at the earliest positive timestep
 
 
-def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise) -> tuple:
-    """One z entry per transition; an empty ``step_z`` means all None."""
+def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
+    """One z entry per transition (all None if ``step_z`` is empty); every draw has ``shape``."""
     transitions = len(schedule.grid) - 1
     step_z = noise.step_z or (None,) * transitions
     if len(step_z) != transitions:
         raise ValueError(f"step_z has {len(step_z)} entries for {transitions} transitions")
+    for draw in (noise.x1, *step_z):
+        if draw is not None and as_matrix(draw).shape != shape:
+            raise ValueError(f"noise of shape {as_matrix(draw).shape} for logits of shape {shape}")
     return step_z
 
 
@@ -294,7 +297,7 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     the tape gradient of :func:`composite_trajectory`, bit for bit for the
     standard reference.
     """
-    step_z = _checked_step_z(schedule, noise)
+    step_z = _checked_step_z(schedule, noise, logits.shape)
     if reference is not None and reference is not logits and reference.requires_grad:
         raise ValueError("reference must be the logits node itself or carry no gradient")
     theta, eps = logits.value, as_matrix(noise.x1)
@@ -362,7 +365,7 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     Returns the states [(t, Node)] and the final denoiser node; gradients
     flow into ``reference`` as its node allows.
     """
-    step_z = _checked_step_z(schedule, noise)
+    step_z = _checked_step_z(schedule, noise, logits.shape)
     tape = logits.tape
     if reference is None:
         x = tape.constant(noise.x1)

@@ -6,7 +6,8 @@ caller's job).  Objectives are callables ``f(x: Node) -> Node`` producing a
 scalar node; they may lift named auxiliary leaves onto the node's tape, whose
 gradients are reported in ``GradientEstimate.aux_grads``.  An objective with
 a closed-form gradient may return ``x.apply(value, vjp)``, one node whose
-``vjp`` runs only when the gradient is wanted (``analysis.PolyObjective``).
+``vjp`` runs only when the gradient is wanted (``analysis.PolyObjective``,
+the Sudoku objective ``benchmarks.sudoku.SudokuBatch.objective``).
 
 All kinds run one pipeline, :func:`estimate`:
 

@@ -7,6 +7,7 @@ from redge.analysis import (
     _batched_single_shot,
     bias_variance,
     bound_threshold,
+    decay_sweep_coefs,
     default_decay_study,
     jacobian_decay_study,
     margin,
@@ -88,6 +89,11 @@ class TestCoefMaps:
         assert Schedule.coef_ratio(0.5) == 2.0
         assert Schedule.t_for_coef(2.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+    def test_t_for_coef_rejects_a_coefficient_outside_zero_to_inf(self, c):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            Schedule.t_for_coef(c)
+
 
 class TestDecayStudy:
     def test_single_step_closed_form_decay(self):
@@ -137,6 +143,14 @@ class TestDecayStudy:
                                      x1=np.array([[0.3, 0.3]]))
         assert all(p.on_boundary for p in study.points)
         assert study.slope is None
+
+    @pytest.mark.parametrize("m", [0.0, -0.5, np.inf, np.nan])
+    def test_threshold_needs_a_finite_positive_margin(self, m):
+        # a tie (margin 0) used to give c* = inf, then inf sweep coefficients
+        with pytest.raises(ValueError, match="margin must be finite and positive"):
+            bound_threshold(m, 3)
+        with pytest.raises(ValueError, match="margin must be finite and positive"):
+            decay_sweep_coefs(m, 3)
 
     def test_rejects_multirow(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from redge.categorical import FactorizedCategorical, sample_onehot_rows
 from redge.diffusion import (
     TrajectoryNoise,
+    composite_trajectory,
     ddim_step,
     denoiser,
     denoiser_cov,
@@ -399,6 +400,20 @@ def test_step_z_needs_one_entry_per_transition():
     # a noisy step still needs its draw when step_z is left empty
     with pytest.raises(ValueError, match="needs its noise"):
         sample_trajectory(leaf, linear_schedule(4, eta="half"), TrajectoryNoise(x1=np.zeros((1, 2))))
+
+
+@pytest.mark.parametrize("chain", [sample_trajectory, composite_trajectory])
+def test_noise_must_have_the_logits_shape(chain):
+    # A single noise row must not be broadcast over every row of the logits.
+    leaf = Tape().constant(np.zeros((3, 4)))
+    sched = linear_schedule(3, eta="half")
+    good = draw_noise(sched, 3, 4, np.random.default_rng(0))
+    row = np.zeros((1, 4))
+    bad_z = (good.step_z[0], row)
+    for noise in (TrajectoryNoise(x1=row, step_z=good.step_z),
+                  TrajectoryNoise(x1=good.x1, step_z=bad_z)):
+        with pytest.raises(ValueError, match=r"noise of shape \(1, 4\) for logits of shape \(3, 4\)"):
+            chain(leaf, sched, noise)
 
 
 def test_reference_must_be_the_logits_or_frozen():

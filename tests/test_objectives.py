@@ -1,7 +1,9 @@
 """Benchmark objectives against brute-force oracles: the GMM negative ELBO by
-enumerating every assignment, the polynomial-programming loss at vertices; and
+enumerating every assignment, the polynomial-programming loss at vertices;
 each benchmark's two forms (the tape objective an estimator differentiates,
-the array form the traces score) agreeing at hard samples."""
+the array form the traces score) agreeing at hard samples; and every gradient
+an estimator or the runner takes from an objective against central
+differences at interior soft points."""
 
 from itertools import product
 
@@ -12,7 +14,8 @@ from redge.benchmarks import gmm
 from redge.benchmarks.polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
 from redge.benchmarks.sudoku import SudokuBatch, generate_puzzles, penalty_batch
 from redge.categorical import FactorizedCategorical, sample
-from redge.tensor import Tape, stable_softmax
+from redge.estimators import eval_objective
+from redge.tensor import Tape, finite_diff_gradient, stable_softmax
 
 
 def normal_logpdf(x, mean, sd):
@@ -89,3 +92,59 @@ def test_gmm_likelihood_term_picks_likelihood_cost_entries():
         got = gmm.likelihood_term(Tape().constant(hard.onehot), mhat, problem).value[0, 0]
         want = cost[np.arange(problem.size), hard.indices].sum()
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def soft_point(length, categories, seed):
+    """A point inside the simplex in every row."""
+    return stable_softmax(np.random.default_rng(seed).standard_normal((length, categories)))
+
+
+def tape_value(f, x):
+    return f(Tape().constant(x)).value[0, 0]
+
+
+def test_sudoku_node_gradient_matches_central_differences():
+    batch = SudokuBatch(generate_puzzles(2, 5))
+    x = soft_point(batch.total_free, 9, 1)
+    value, grad, _ = eval_objective(batch.objective, x)
+    assert value == pytest.approx(penalty_batch(batch.grids_from_free(x)).sum(), rel=1e-12)
+    want = finite_diff_gradient(lambda z: tape_value(batch.objective, z), x)
+    np.testing.assert_allclose(grad, want, rtol=1e-7, atol=1e-8)
+
+
+@pytest.mark.parametrize("relaxation", ["power", "linear"])
+def test_polyprog_gradient_matches_central_differences(relaxation):
+    problem = PolyProgProblem(length=5, target=0.3, exponent=3.0, relaxation=relaxation)
+    # x2 in [0.4, 0.9], away from the kink of |x2 - c| at the target c = 0.3
+    x2 = np.random.default_rng(4).uniform(0.4, 0.9, problem.length)
+    x = np.stack([1.0 - x2, x2], axis=1)
+    _, grad, _ = eval_objective(lambda z: polyprog_loss(z, problem), x)
+    want = finite_diff_gradient(lambda z: tape_value(lambda n: polyprog_loss(n, problem), z), x)
+    np.testing.assert_allclose(grad, want, rtol=1e-7, atol=1e-10)
+
+
+def test_gmm_likelihood_gradients_match_central_differences():
+    problem = gmm.gmm_generate(7, size=6, components=3)
+    x = soft_point(problem.size, problem.components, 2)
+    mhat = problem.true_means + np.random.default_rng(8).standard_normal((3, 2))
+    _, grad_x, aux = eval_objective(lambda z: gmm.likelihood_term(z, mhat, problem), x)
+    want_x = finite_diff_gradient(
+        lambda z: tape_value(lambda n: gmm.likelihood_term(n, mhat, problem), z), x)
+    np.testing.assert_allclose(grad_x, want_x, rtol=1e-7, atol=1e-7)
+    want_m = finite_diff_gradient(
+        lambda m: tape_value(lambda n: gmm.likelihood_term(n, m, problem), x), mhat)
+    np.testing.assert_allclose(aux["mhat"], want_m, rtol=1e-7, atol=1e-7)
+
+
+def test_gmm_entropy_prior_gradient_matches_central_differences():
+    problem = gmm.gmm_generate(7, size=5, components=4)
+    logits = np.random.default_rng(9).standard_normal((5, 4))
+    want = finite_diff_gradient(
+        lambda z: tape_value(lambda n: gmm.entropy_prior_term(n, problem), z), logits)
+    np.testing.assert_allclose(gmm.entropy_prior_gradient(logits, problem), want,
+                               rtol=1e-7, atol=1e-9)
+
+
+def test_polyprog_rejects_an_empty_problem():
+    with pytest.raises(ValueError, match="length must be at least 1, got 0"):
+        PolyProgProblem(length=0)

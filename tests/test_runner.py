@@ -74,7 +74,7 @@ def test_unknown_problem_type_rejected(problem):
 
 def test_stream_layout_of_the_initial_parameters():
     problem, cfg, kwargs = CASES["poly"]
-    logits = runner.INIT_LOGIT_STD * runner._init_rng(11, 1).standard_normal((8, 2))
+    logits = runner.INIT_LOGIT_STD * runner._stream(11, 1).standard_normal((8, 2))
     result = runner.run_benchmark(problem, cfg, 0, 11, **kwargs)
     assert result.trace == []
     want = exact_polyprog_loss(FactorizedCategorical(logits).probs, problem)
@@ -94,5 +94,5 @@ def test_short_sudoku_runs_share_no_stream(monkeypatch):
     runner.run_benchmark(sudoku.generate_puzzles(1, 4), EstimatorConfig(kind="st"), 2, 11,
                          mc_draws=2)
     assert len(states) == 3
-    init = [runner._init_rng(11, tag).bit_generator.state for tag in (1, 2, 3)]
+    init = [runner._stream(11, tag).bit_generator.state for tag in (1, 2, 3)]
     assert all(a != b for i, a in enumerate(states) for b in states[i + 1:] + init)

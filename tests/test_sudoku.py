@@ -1,6 +1,7 @@
-"""Sudoku benchmark tests: adjoint pairs behind the objective's two
-``Node.apply`` linear maps, the digit-count penalty against the grid form,
-grid validity, deterministic puzzle generation and the puzzle-file parser."""
+"""Sudoku benchmark tests: the group-sum adjoint pair behind the objective's
+closed-form node, the digit-count penalty against the grid form, the argmax
+completion, grid validity, clue checks, deterministic puzzle generation and
+the puzzle-file parser."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from redge.benchmarks.sudoku import (
     DIGITS,
     GRID_CELLS,
     SudokuBatch,
+    SudokuProblem,
     _complete_grid,
     generate_puzzles,
     group_sums,
@@ -18,7 +20,6 @@ from redge.benchmarks.sudoku import (
     parse_puzzles,
     penalty_batch,
 )
-from redge.tensor import Tape
 
 
 def inner(a, b):
@@ -34,19 +35,6 @@ def test_group_sums_adjoint_pair_with_leading_axes():
     rhs = inner(group_sums_adjoint(g), x)
     assert lhs.shape == (2, 3)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_embed_forward_and_adjoint_are_a_pair():
-    rng = np.random.default_rng(1)
-    batch = SudokuBatch(generate_puzzles(3, 2))
-    x = rng.standard_normal((batch.total_free, DIGITS))
-    g = rng.standard_normal((batch.count * GRID_CELLS, DIGITS))
-    tape = Tape()
-    leaf = tape.lift(x, requires_grad=True)
-    out = batch.embed(leaf)
-    tape.backward(out, seed=g)
-    linear_part = out.value - batch.clue_matrix
-    assert inner(g, linear_part) == pytest.approx(inner(leaf.grad, x), rel=1e-12)
 
 
 def test_hard_penalties_match_the_grid_form():
@@ -71,6 +59,34 @@ def test_complete_grid_is_valid(seed):
     assert is_valid_grid(grid - 1)
     onehot = np.eye(DIGITS)[grid - 1]
     assert penalty_batch(onehot) == 0.0
+
+
+def test_argmax_grids_fill_the_free_cells_of_the_clues():
+    rng = np.random.default_rng(3)
+    problems = generate_puzzles(2, 6)
+    batch = SudokuBatch(problems)
+    logits = rng.standard_normal((batch.total_free, DIGITS))
+    grids = batch.argmax_grids(logits)
+    assert grids.shape == (2, GRID_CELLS)
+    free = np.argmax(logits, axis=1)
+    for i, p in enumerate(problems):
+        given = p.clues > 0
+        np.testing.assert_array_equal(grids[i][given], p.clues[given] - 1)
+    np.testing.assert_array_equal(grids.ravel()[batch.scatter_index], free)
+
+
+@pytest.mark.parametrize("cells,group", [
+    ((0, 1), "row 1"),
+    ((4, 76), "column 5"),
+    ((60, 80), "block 9"),
+])
+def test_repeated_clue_digit_rejected(cells, group):
+    clues = np.zeros(GRID_CELLS, dtype=np.int64)
+    clues[list(cells)] = 5
+    with pytest.raises(ValueError, match=f"clue digit 5 repeats in {group}$"):
+        SudokuProblem.from_clues(clues)
+    with pytest.raises(ValueError, match=f"line 1: clue digit 5 repeats in {group}$"):
+        parse_puzzles("".join(str(d) if d else "." for d in clues))
 
 
 def test_invalid_grid_rejected():
