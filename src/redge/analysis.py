@@ -229,9 +229,12 @@ def default_decay_study(logits, x1, n: int = 4) -> DecayStudy:
 def bound_threshold(limit_margin: float, categories: int,
                     target_norm: float = TARGET_NORM) -> float:
     """The c at which 2K(K-1) exp(-margin c / 2) falls to ``target_norm``;
-    the margin must be finite and positive (a tie has no threshold)."""
+    the margin must be finite and positive (a tie has no threshold) and K at
+    least 2 (one category has no bound)."""
     if not (np.isfinite(limit_margin) and limit_margin > 0.0):
         raise ValueError(f"margin must be finite and positive, got {limit_margin}")
+    if categories < 2:
+        raise ValueError(f"the bound needs at least two categories, got {categories}")
     mk = 2.0 * categories * (categories - 1)
     return 2.0 * np.log(mk / target_norm) / limit_margin
 

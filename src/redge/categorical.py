@@ -11,6 +11,7 @@ configurations, capped) against which the stochastic estimators are tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -49,7 +50,12 @@ class FactorizedCategorical:
         if not np.all(np.isfinite(logits)):
             raise ValueError("logits must be finite")
         self.logits = logits.copy()
-        self.probs = stable_softmax(self.logits)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Row softmax of the logits, computed on first read (the diffusion
+        estimators never read it)."""
+        return stable_softmax(self.logits)
 
     @property
     def length(self) -> int:

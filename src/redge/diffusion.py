@@ -24,9 +24,12 @@ weighting 1/v.
 node whose VJP is the closed-form reverse sweep, so trajectories are
 differentiable with respect to the logits, and with respect to the reference
 moments exactly as far as gradients flow into the reference node (the logits
-themselves, their ``detach()`` or a constant).  The denoisers and
-:func:`ddim_step` are also built from tape nodes; composed by
-:func:`composite_trajectory` they are the oracle for that sweep.
+themselves, their ``detach()`` or a constant).  It works category-major, on
+(K, L) transposes: the n-1 denoiser outputs fill one (n-1, K, L) block, the
+state and the sweep's cotangent are updated in place, and only the starting
+state is kept.  The denoisers and :func:`ddim_step` are also built from tape
+nodes; composed by :func:`composite_trajectory`, which keeps every state,
+they are the oracle for that sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Node, Tape, as_matrix, covariance_apply, softmax_rows, stable_softmax
+from .tensor import (Node, Tape, as_matrix, covariance_apply,
+                     covariance_apply_by_category, softmax_by_category, softmax_rows,
+                     stable_softmax)
 
 # Lower clamp of :func:`path_variance_floor`; it binds only above about
 # 900,000 categories.
@@ -60,6 +65,7 @@ def path_variance_floor(categories: int) -> float:
     return max(VAR_FLOOR, 0.9 * uniform_var)
 
 _BOUNDARY_TOL = 1e-12
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 # eta_t / sigma_t for each named noise level of the reverse chain.
@@ -112,10 +118,15 @@ class Schedule:
 
     @staticmethod
     def t_for_coef(c: float) -> float:
-        """Inverse of :meth:`coef_ratio`: the t in (0, 1) with (1-t)/t^2 = c."""
+        """Inverse of :meth:`coef_ratio`: the t in (0, 1) with (1-t)/t^2 = c.
+
+        t = 2 / (1 + sqrt(1 + 4c)), with the root taken as hypot(1, 2 sqrt(c))
+        so that no step overflows up to the largest float.  Below c of about
+        1e-16 the exact t rounds to 1; it is kept just under 1 instead.
+        """
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError(f"c must be finite and positive, got {c}")
-        return (-1.0 + np.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
+        return min(2.0 / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(c))), _BELOW_ONE)
 
     @property
     def t1(self) -> float:
@@ -200,19 +211,17 @@ def denoiser_jacobians(logits, x, t: float, schedule: Schedule):
 
 
 def _transition(s: float, t: float, schedule: Schedule, z):
-    """Coefficients (a, b) of the reverse step t -> s and its noise term
-    eta_s * z, None for a deterministic step; see :func:`ddim_step`."""
+    """Coefficients (a, b, eta_s) of the reverse step t -> s; a step with
+    eta_s > 0 needs its noise ``z``.  See :func:`ddim_step`."""
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     sig_s, sig_t, eta_s = schedule.sigma(s), schedule.sigma(t), schedule.eta(s)
     r = math.sqrt(sig_s * sig_s - eta_s * eta_s)
     a = schedule.alpha(s) - schedule.alpha(t) * r / sig_t
     b = r / sig_t
-    if eta_s == 0.0:
-        return a, b, None
-    if z is None:
+    if eta_s > 0.0 and z is None:
         raise ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
-    return a, b, eta_s * as_matrix(z)
+    return a, b, eta_s
 
 
 def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
@@ -223,10 +232,10 @@ def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
     a = alpha_s - alpha_t * r / sigma_t.  ``z`` is the standard-normal draw
     for the step; it is required when eta_s > 0 and unused when eta_s = 0.
     """
-    a, b, noise = _transition(s, t, schedule, z)
+    a, b, eta_s = _transition(s, t, schedule, z)
     x_s = d * a + x_t * b
-    if noise is not None:
-        x_s = x_s + x_t.tape.constant(noise)
+    if eta_s > 0.0:
+        x_s = x_s + x_t.tape.constant(eta_s * as_matrix(z))
     return x_s
 
 
@@ -259,9 +268,13 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
 
 @dataclass
 class Trajectory:
-    """All intermediate states of one reverse pass, ordered by decreasing t."""
+    """One reverse pass: where it starts, where it ends, and its last denoiser.
 
-    states: list                 # [(t, array)] from t=1 down to t=0
+    The intermediate states are not kept; :func:`composite_trajectory`
+    returns every state when a check needs them.
+    """
+
+    states: list                 # [(1.0, x1)]: only the starting state
     soft_sample: Node            # final state, a relaxed sample on the simplex
     final_denoiser: np.ndarray   # denoiser output at the earliest positive timestep
 
@@ -280,7 +293,7 @@ def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) ->
 
 def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
                       reference: Optional[Node] = None) -> Trajectory:
-    """Run the reverse chain down the grid, recording every state.
+    """Run the reverse chain down the grid.
 
     ``reference`` selects the Gaussian at t=1: None for the standard normal,
     or a logits node whose row softmax p gives the moment-matched
@@ -296,65 +309,102 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     with w = 1 for the standard reference and w = 1/v otherwise.  It equals
     the tape gradient of :func:`composite_trajectory`, bit for bit for the
     standard reference.
+
+    Layout: the chain and its sweep work category-major, on (K, L)
+    transposes, so each row's max, total and broadcast is one contiguous op
+    over L (``tensor.softmax_by_category``,
+    ``tensor.covariance_apply_by_category``).  The n-1 denoiser outputs
+    fill one (n-1, K, L) block; the state, and in the sweep the cotangent,
+    are updated in place in a few work arrays.  Every float operation keeps
+    the order of the row-major (L, K) formulas, so the results are
+    bit-identical to them.  The soft sample, the final denoiser and the
+    logits' gradient come back as C-ordered (L, K) arrays.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
     if reference is not None and reference is not logits and reference.requires_grad:
         raise ValueError("reference must be the logits node itself or carry no gradient")
-    theta, eps = logits.value, as_matrix(noise.x1)
-    x = eps
+    eps = as_matrix(noise.x1)
+    x1 = eps
     if reference is not None:
         mu = stable_softmax(reference.value)
         floor = path_variance_floor(mu.shape[1])
         v = np.maximum(mu * (1.0 - mu), floor)
         lam, root = np.power(v, -1.0), np.sqrt(v)
-        x = mu + root * eps
+        x1 = mu + root * eps
     through_moments = reference is logits
     grid = schedule.grid
-    states = [(float(grid[0]), x)]
-    steps = []   # (d, c, a, b, shift) per transition; shift only through the moments
+    theta = logits.value.T.copy()
+    x = x1.T.copy()
+    work = np.empty_like(x)
+    col = np.empty(x.shape[1])
+    block = np.empty((len(step_z),) + x.shape)   # d_k, category-major
+    shifts = np.empty_like(block) if through_moments else None
+    coefs = []   # (c, a, b) per transition
     for k, z in enumerate(step_z):
         t, s = float(grid[k]), float(grid[k + 1])
         c = schedule.coef_ratio(t)
+        d = block[k]
         if reference is None:
-            shift = None
-            d = stable_softmax(theta + x * c)
+            np.multiply(x, c, out=d)
         else:
-            shift = x - mu * schedule.sigma(t) - schedule.alpha(t) / 2.0
-            d = stable_softmax(theta + lam * shift * c)
-        a, b, step_noise = _transition(s, t, schedule, z)
-        x = d * a + x * b
-        if step_noise is not None:
-            x = x + step_noise
-        steps.append((d, c, a, b, shift if through_moments else None))
-        states.append((s, x))
+            shift = shifts[k] if through_moments else work
+            np.multiply(mu.T, schedule.sigma(t), out=shift)
+            np.subtract(x, shift, out=shift)
+            np.subtract(shift, schedule.alpha(t) / 2.0, out=shift)
+            np.multiply(lam.T, shift, out=d)
+            np.multiply(d, c, out=d)
+        np.add(theta, d, out=d)
+        softmax_by_category(d, col)
+        a, b, eta_s = _transition(s, t, schedule, z)
+        np.multiply(x, b, out=x)
+        np.multiply(d, a, out=work)
+        np.add(work, x, out=x)
+        if eta_s > 0.0:
+            np.multiply(as_matrix(z).T, eta_s, out=work)
+            np.add(x, work, out=x)
+        coefs.append((c, a, b))
 
     def vjp(g):
-        grad = None
-        g_lam = g_mu = 0.0
-        for k in reversed(range(len(steps))):
-            d, c, a, b, shift = steps[k]
-            u = covariance_apply(d, g * a)
-            grad = u if grad is None else grad + u
+        last = len(coefs) - 1
+        cot = g.T.copy()   # the cotangent on the current state
+        tmp, u, grad = (np.empty_like(cot) for _ in range(3))
+        col = np.empty(cot.shape[1])
+        if through_moments:
+            g_lam, g_mu = np.zeros_like(cot), np.zeros_like(cot)
+        for k in range(last, -1, -1):
+            c, a, b = coefs[k]
+            np.multiply(cot, a, out=tmp)
+            out = grad if k == last else u   # the last step's u starts the gradient
+            covariance_apply_by_category(block[k], tmp, out, col)
+            if out is u:
+                np.add(grad, u, out=grad)
             if not (k or through_moments):
                 break   # the first state carries no gradient
             if reference is None:
-                g = g * b + u * c
+                np.multiply(cot, b, out=cot)
+                np.multiply(out, c, out=tmp)
+                np.add(cot, tmp, out=cot)
             else:
-                h = u * c
-                g = g * b + h * lam
+                h = np.multiply(out, c, out=tmp)
+                np.multiply(cot, b, out=cot)
+                np.multiply(h, lam.T, out=u)
+                np.add(cot, u, out=cot)
                 if through_moments:
-                    g_lam = g_lam + h * shift
-                    g_mu = g_mu - h * lam * schedule.sigma(float(grid[k]))
-        if through_moments:
-            # back through x1 = mu + sqrt(v) eps, lam = 1/v, v = clamp(p(1-p))
-            # and p = softmax(logits)
-            g_v = g * eps / (2.0 * root) - g_lam * lam * lam
-            g_v = g_v * (mu * (1.0 - mu) > floor)
-            g_mu = g_mu + g + g_v * (1.0 - 2.0 * mu)
-            grad = grad + covariance_apply(mu, g_mu)
-        return grad
+                    np.add(g_lam, np.multiply(h, shifts[k], out=h), out=g_lam)
+                    np.subtract(g_mu, np.multiply(u, schedule.sigma(float(grid[k])), out=u),
+                                out=g_mu)
+        if not through_moments:
+            return grad.T.copy()
+        # back through x1 = mu + sqrt(v) eps, lam = 1/v, v = clamp(p(1-p))
+        # and p = softmax(logits), on the (L, K) transposes
+        g = cot.T
+        g_v = g * eps / (2.0 * root) - g_lam.T * lam * lam
+        g_v = g_v * (mu * (1.0 - mu) > floor)
+        g_mu = g_mu.T + g + g_v * (1.0 - 2.0 * mu)
+        return np.ascontiguousarray(grad.T + covariance_apply(mu, g_mu))
 
-    return Trajectory(states=states, soft_sample=logits.apply(x, vjp), final_denoiser=d)
+    return Trajectory(states=[(float(grid[0]), x1)], soft_sample=logits.apply(x.T.copy(), vjp),
+                      final_denoiser=block[-1].T.copy())
 
 
 def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,

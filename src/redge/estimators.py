@@ -141,7 +141,9 @@ def eval_objective(f, x_value: np.ndarray):
     if out.value.shape != (1, 1):
         raise ValueError("objective must return a scalar (1x1) node")
     tape.backward(out)
-    return float(out.value[0, 0]), grad_or_zero(x), tape.named_grads()
+    value, gx, aux = float(out.value[0, 0]), grad_or_zero(x), tape.named_grads()
+    tape.release()
+    return value, gx, aux
 
 
 def reinmax_apply(p: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -216,6 +218,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
     tape.backward(traj.soft_sample, seed=gx)
     grad = grad_or_zero(logits)
+    tape.release()   # the chain's block is freed on return, not by the cyclic collector
     if kind == "redge-max":
         # The sweep's gradient splits at the final transition into a direct
         # logits term, Cov(d) g with d the last denoiser output, plus the term

@@ -300,29 +300,32 @@ def _chain_outputs(fused: bool, theta, schedule, noise, reference: str, cotangen
 
 def check_fused_chain(seed: int) -> list:
     """The one-node chain of ``sample_trajectory`` against its composite
-    oracle, per reference and noise level over K in {2, 3, 20} and n in
-    {2, 4, 16}: bit for bit for the deterministic standard chain, else to
-    1e-12 relative (the worst quantity is reported)."""
+    oracle, per reference, noise level and side of the K <= 16 reduction
+    rule, over K in {2, 3, 16} and {17, 20}, n in {2, 4, 16}, and two rows
+    (one row on odd seeds): bit for bit for the deterministic standard
+    chain, else to 1e-12 relative (the worst quantity is reported)."""
     rng = np.random.default_rng(seed)
+    length = 1 if seed % 2 else 2
     results = []
     for reference in ("standard", "logits", "detach", "constant"):
         for eta in ("zero", "half", "full"):
             tol = 0.0 if (reference, eta) == ("standard", "zero") else 1e-12
-            worst = None
-            for k in (2, 3, 20):
-                for n in (2, 4, 16):
-                    theta = 1.5 * rng.standard_normal((2, k))
-                    schedule = diffusion.linear_schedule(n, eta=eta)
-                    noise = diffusion.draw_noise(schedule, 2, k, rng)
-                    cotangent = rng.standard_normal((2, k))
-                    got, want = (_chain_outputs(fused, theta, schedule, noise, reference,
-                                                cotangent) for fused in (True, False))
-                    for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
-                        r = _compare(f"fused_chain_{what}[{reference},eta={eta},K={k},n={n},"
-                                     f"seed={seed}]", a, b, tol)
-                        if worst is None or not r.error <= worst.error:
-                            worst = r
-            results.append(worst)
+            for ks in ((2, 3, 16), (17, 20)):
+                worst = None
+                for k in ks:
+                    for n in (2, 4, 16):
+                        theta = 1.5 * rng.standard_normal((length, k))
+                        schedule = diffusion.linear_schedule(n, eta=eta)
+                        noise = diffusion.draw_noise(schedule, length, k, rng)
+                        cotangent = rng.standard_normal((length, k))
+                        got, want = (_chain_outputs(fused, theta, schedule, noise, reference,
+                                                    cotangent) for fused in (True, False))
+                        for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
+                            r = _compare(f"fused_chain_{what}[{reference},eta={eta},L={length},"
+                                         f"K={k},n={n},seed={seed}]", a, b, tol)
+                            if worst is None or not r.error <= worst.error:
+                                worst = r
+                results.append(worst)
     return results
 
 

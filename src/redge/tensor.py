@@ -18,6 +18,10 @@ it the graph behaves as if the value were a constant (stop-gradient).
 
 Tapes are confined to one logical thread; values are never mutated after a
 node is created, so they can be shared freely across threads.
+
+The ``*_by_category`` helpers are the diffusion chain's category-major (K, L)
+forms of :func:`stable_softmax` and :func:`covariance_apply`: in place, with
+the same float operations in the same order.
 """
 
 from __future__ import annotations
@@ -87,6 +91,41 @@ def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
     for k in range(x.shape[-1]):
         op(x[..., k], c, out=out[..., k])
     return out
+
+
+def _category_total(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the leading (category) axis of a (K, L) block into the (L,)
+    ``out``, in :func:`_row_total`'s order on the (L, K) transpose: one
+    category at a time for K <= 16, numpy's pairwise sum over a contiguous
+    K axis above."""
+    if z.shape[0] > 16:
+        out[...] = np.ascontiguousarray(z.T).sum(axis=-1)
+        return out
+    np.copyto(out, z[0])
+    for row in z[1:]:
+        out += row
+    return out
+
+
+def softmax_by_category(z: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """In place, the softmax over the leading axis of a (K, L) block: bit for
+    bit the transpose of :func:`stable_softmax` on the (L, K) rows, with
+    every row op a contiguous op over L.  ``col`` is (L,) scratch."""
+    np.max(z, axis=0, out=col)
+    np.subtract(z, col, out=z)
+    np.maximum(z, _EXP_FLOOR, out=z)
+    np.exp(z, out=z)
+    return np.divide(z, _category_total(z, col), out=z)
+
+
+def covariance_apply_by_category(d: np.ndarray, g: np.ndarray, out: np.ndarray,
+                                 col: np.ndarray) -> np.ndarray:
+    """``out`` = Cov(d) g over the leading axis of (K, L) blocks, bit for bit
+    the transpose of :func:`covariance_apply`; ``g`` is overwritten and
+    ``col`` is (L,) scratch."""
+    np.multiply(d, g, out=out)
+    np.subtract(g, _category_total(out, col), out=g)
+    return np.multiply(d, g, out=out)
 
 
 def stable_softmax(x) -> np.ndarray:
@@ -318,12 +357,15 @@ class Tape:
     Leaves created with a ``name`` can be looked up afterwards to read their
     gradients (used for auxiliary parameters threaded through objectives).
 
-    Each node refers back to its tape, so every tape is a reference cycle: it
-    is freed by the cyclic garbage collector rather than when its last outside
-    reference goes, and the peak memory of a loop that builds many large tapes
-    depends on when that collector runs.  A node built with
-    :meth:`Node.apply` keeps what its VJP closes over alive just as long: the
-    diffusion chain's single node holds every stored denoiser output.
+    Each node refers back to its tape, so a tape is a reference cycle until
+    :meth:`release` drops its nodes; left alone, it is freed by the cyclic
+    garbage collector rather than when its last outside reference goes, and
+    the peak memory of a loop that builds many large tapes depends on when
+    that collector runs.  A node built with :meth:`Node.apply` keeps what its
+    VJP closes over alive just as long: the diffusion chain's single node
+    holds the block of denoiser outputs.  ``estimators.estimate`` and
+    ``eval_objective`` release their tapes once the gradients are read, so
+    no chain outlives the call.
     """
 
     def __init__(self):
@@ -379,6 +421,16 @@ class Tape:
             for parent, vjp in node.parents:
                 contrib = vjp(g)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
+
+    def release(self) -> None:
+        """Drop every node and leaf name; the tape is spent afterwards.
+
+        This breaks the node-tape reference cycles, so values, gradients and
+        VJP closures are freed when the caller's last node goes, not when the
+        cyclic collector next runs.
+        """
+        self.nodes.clear()
+        self.named.clear()
 
     def named_grads(self) -> dict[str, np.ndarray]:
         return {

@@ -89,6 +89,14 @@ class TestCoefMaps:
         assert Schedule.coef_ratio(0.5) == 2.0
         assert Schedule.t_for_coef(2.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 5e307, 1e308, np.finfo(float).max])
+    def test_t_for_coef_is_inside_zero_one_for_any_finite_coefficient(self, c):
+        # 4c overflows above about 4.5e307; t must stay finite and below 1 there
+        t = Schedule.t_for_coef(c)
+        assert np.isfinite(t) and 0.0 < t < 1.0
+        if 1e-8 < c < 1e150:
+            assert Schedule.coef_ratio(t) == pytest.approx(c, rel=1e-12)
+
     @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
     def test_t_for_coef_rejects_a_coefficient_outside_zero_to_inf(self, c):
         with pytest.raises(ValueError, match="c must be finite and positive"):
@@ -151,6 +159,12 @@ class TestDecayStudy:
             bound_threshold(m, 3)
         with pytest.raises(ValueError, match="margin must be finite and positive"):
             decay_sweep_coefs(m, 3)
+
+    @pytest.mark.parametrize("categories", [1, 0])
+    def test_threshold_needs_two_categories(self, categories):
+        # K = 1 makes 2K(K-1) = 0, whose log is -inf
+        with pytest.raises(ValueError, match="at least two categories"):
+            bound_threshold(0.5, categories)
 
     def test_rejects_multirow(self):
         with pytest.raises(ValueError):

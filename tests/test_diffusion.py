@@ -297,12 +297,18 @@ class TestTrajectory:
         noise = draw_noise(sched, 1, 4, rng)
         perm = np.array([2, 0, 3, 1])
 
-        tape = Tape()
-        traj = sample_trajectory(tape.lift(logits), sched, noise)
-        tape2 = Tape()
         noise_p = TrajectoryNoise(x1=noise.x1[:, perm], step_z=noise.step_z)
-        traj_p = sample_trajectory(tape2.lift(logits[:, perm]), sched, noise_p)
-        for (_, a), (_, b) in zip(traj.states, traj_p.states):
+        traj, traj_p = (sample_trajectory(Tape().lift(theta), sched, z)
+                        for theta, z in ((logits, noise), (logits[:, perm], noise_p)))
+        pairs = [(traj.states[0][1], traj_p.states[0][1]),
+                 (traj.soft_sample.value, traj_p.soft_sample.value),
+                 (traj.final_denoiser, traj_p.final_denoiser)]
+        # the fused chain keeps only x1; every state comes from the oracle
+        states, states_p = (composite_trajectory(Tape().lift(theta), sched, z)[0]
+                            for theta, z in ((logits, noise), (logits[:, perm], noise_p)))
+        assert len(states) == 6
+        pairs += [(a.value, b.value) for (_, a), (_, b) in zip(states, states_p)]
+        for a, b in pairs:
             np.testing.assert_allclose(a[:, perm], b, atol=1e-14)
 
     def test_small_t1_concentrates_on_vertices(self):
@@ -328,6 +334,7 @@ class TestTrajectory:
         tape = Tape()
         node = tape.lift(logits)
         traj = sample_trajectory(node, sched, noise, node)
+        assert [t for t, _ in traj.states] == [1.0]   # only the starting state is kept
         x1 = traj.states[0][1]
         np.testing.assert_allclose(x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
 

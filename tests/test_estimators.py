@@ -1,6 +1,8 @@
 """Estimator tests: frozen examples, reduction identities, unbiasedness by
 enumeration, finite-difference oracles, and permutation equivariance."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from redge.categorical import (
 )
 from redge.diffusion import draw_noise, sample_trajectory
 from redge.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorConfig,
     covariance_apply,
     estimate,
@@ -375,3 +378,50 @@ class TestDispatch:
         a = estimate(dist, f, cfg, 9)
         b = estimate(dist, f, cfg, 9)
         np.testing.assert_array_equal(a.grad, b.grad)
+
+
+class TestMemoryAndLayout:
+    def test_estimate_leaves_no_tape_behind(self):
+        # A tape is a reference cycle; with the cyclic collector off, any tape
+        # estimate did not release stays in gc.get_objects().
+        rng = np.random.default_rng(21)
+        dist = FactorizedCategorical(rng.normal(size=(2, 3)))
+        f = random_cubic(rng, 2, 3)
+
+        def tapes():
+            return sum(isinstance(o, Tape) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = tapes()
+            for kind in ESTIMATOR_KINDS:
+                estimate(dist, f, EstimatorConfig(kind=kind, steps=3), 5)
+            left = tapes() - before
+        finally:
+            gc.enable()
+        assert left == 0
+
+    @pytest.mark.parametrize("categories", [3, 17])
+    def test_logits_layout_does_not_change_the_estimate(self, categories):
+        # C-ordered, Fortran-ordered and strided-view logits give the same
+        # arrays, and the chain hands back C-ordered (L, K) results.
+        rng = np.random.default_rng(22)
+        logits = rng.normal(size=(4, categories))
+        wide = np.zeros((4, 2 * categories))
+        wide[:, ::2] = logits
+        layouts = (logits, np.asfortranarray(logits), wide[:, ::2])
+        f = random_cubic(rng, 4, categories)
+        for kind in ESTIMATOR_KINDS:
+            cfg = EstimatorConfig(kind=kind, steps=4)
+            first, *rest = (estimate(FactorizedCategorical(x), f, cfg, 3) for x in layouts)
+            assert first.grad.flags.c_contiguous
+            for est in rest:
+                assert est.objective_value == first.objective_value
+                np.testing.assert_array_equal(est.grad, first.grad)
+                if first.soft_sample is not None:
+                    assert est.soft_sample.flags.c_contiguous
+                    np.testing.assert_array_equal(est.soft_sample, first.soft_sample)
+                if first.hard_sample is not None:
+                    np.testing.assert_array_equal(est.hard_sample.onehot,
+                                                  first.hard_sample.onehot)
