@@ -15,6 +15,11 @@ against c_{t1} is therefore eventually at most -margin/2.
 Bias/variance reports compare estimator replications against the exact
 enumeration gradient; the decomposition MSE = |bias|^2 + trace(cov) holds
 exactly as computed because the same replications feed both terms.
+
+scipy is imported on first use, inside :func:`transport_slice` (the only
+caller of ``scipy.special.ndtri``): the estimators, the benchmarks and the
+rest of this module need only numpy, and importing ``scipy.special`` would
+otherwise take most of the time and memory of ``import redge``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .categorical import FactorizedCategorical, exact_gradient, gumbel_max
 from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_schedule,
@@ -151,6 +155,7 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
         pre = states[-2][1]
         jac_pre = jacobian(pre, leaf)
         rep = margin(pre.value[0])
+        tape.release()
         raw.append((t1, schedule.coef_ratio(t1), operator_norm(jac_full), rep))
         chain_bound = max(chain_bound, operator_norm(jac_pre))
 
@@ -403,6 +408,8 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
     x1(q) = ndtri(q) * (e1 - e2) / sqrt(2).  Returns rows
     (t1, q, theta, output) showing the map sharpen as t1 shrinks.
     """
+    from scipy.special import ndtri  # on first use: see the module docstring
+
     rows = []
     for t1 in t1_list:
         schedule = _schedule_moving_t1(n, t1)
@@ -416,4 +423,5 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
                 leaf = tape.lift(np.log([[theta, 1.0 - theta]]))
                 traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
                 rows.append((t1, q, theta, float(traj.soft_sample.value[0, 0])))
+                tape.release()
     return rows

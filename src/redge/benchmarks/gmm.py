@@ -11,6 +11,12 @@ with point estimates of the means, optimized by minimizing
 The assignment entropy and the uniform prior are separable and evaluated
 analytically; only the likelihood term, which is linear in the one-hot
 sample, goes through a stochastic gradient estimator.
+
+scipy is imported on first use, inside :func:`clustering_accuracy` (the only
+caller of ``scipy.optimize.linear_sum_assignment``, for the summary's
+accuracy field): the objective and its gradients need only numpy, and
+importing ``scipy.optimize`` would otherwise take most of the time and memory
+of ``import redge.benchmarks``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..tensor import Node, Tape, _row_total, as_matrix, grad_or_zero, softmax_rows, stable_softmax
 
@@ -92,7 +97,9 @@ def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProb
     likelihood cost (the dot against the probability matrix, since the
     likelihood term is linear in the one-hot) and the N(0, sigma0^2 I) prior
     on the means."""
-    entropy = entropy_prior_term(Tape().constant(logits), problem).value[0, 0]
+    tape = Tape()
+    entropy = entropy_prior_term(tape.constant(logits), problem).value[0, 0]
+    tape.release()
     cost = float((stable_softmax(logits) * likelihood_cost(mhat, problem)).sum())
     var0 = problem.sigma0**2
     prior = (np.power(mhat, 2.0).sum() * (1.0 / (2.0 * var0))
@@ -105,6 +112,7 @@ def entropy_prior_gradient(logits: np.ndarray, problem: GmmProblem) -> np.ndarra
     tape = Tape()
     leaf = tape.lift(logits, requires_grad=True)
     tape.backward(entropy_prior_term(leaf, problem))
+    tape.release()
     return grad_or_zero(leaf)
 
 
@@ -114,11 +122,25 @@ def map_gradient(mhat: np.ndarray, problem: GmmProblem) -> np.ndarray:
 
 def clustering_accuracy(logits, true_z) -> float:
     """Fraction of rows assigned to the right cluster under the best label
-    permutation (optimal assignment on the confusion matrix)."""
+    permutation (optimal assignment on the confusion matrix).
+
+    ``true_z`` holds one label in [0, K) per row of the (N, K) ``logits``;
+    an empty input, a length mismatch or a label out of range raises
+    ``ValueError``.
+    """
+    from scipy.optimize import linear_sum_assignment  # on first use: see the module docstring
+
     logits = as_matrix(logits)
     true_z = np.asarray(true_z, dtype=np.int64).ravel()
-    pred = np.argmax(logits, axis=1)
+    if logits.size == 0 or true_z.size == 0:
+        raise ValueError("clustering_accuracy: empty input")
+    if true_z.size != logits.shape[0]:
+        raise ValueError(f"clustering_accuracy: {true_z.size} labels for "
+                         f"{logits.shape[0]} logit rows")
     k = logits.shape[1]
+    if true_z.min() < 0 or true_z.max() >= k:
+        raise ValueError(f"clustering_accuracy: labels must lie in [0, {k})")
+    pred = np.argmax(logits, axis=1)
     confusion = np.zeros((k, k))
     np.add.at(confusion, (pred, true_z), 1.0)
     rows, cols = linear_sum_assignment(confusion, maximize=True)

@@ -118,6 +118,7 @@ def eval_scalar(f, x_value: np.ndarray) -> float:
     """Evaluate a tape-valued objective at a plain matrix."""
     tape = Tape()
     out = f(tape.constant(x_value))
+    tape.release()
     if out.value.shape != (1, 1):
         raise ValueError("objective must return a scalar (1x1) node")
     return float(out.value[0, 0])

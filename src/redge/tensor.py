@@ -363,9 +363,12 @@ class Tape:
     the peak memory of a loop that builds many large tapes depends on when
     that collector runs.  A node built with :meth:`Node.apply` keeps what its
     VJP closes over alive just as long: the diffusion chain's single node
-    holds the block of denoiser outputs.  ``estimators.estimate`` and
-    ``eval_objective`` release their tapes once the gradients are read, so
-    no chain outlives the call.
+    holds the block of denoiser outputs.  These functions release the
+    tapes they build once the value or gradient is read, so no tape outlives
+    the call: ``estimators.estimate`` and ``estimators.eval_objective``,
+    ``categorical.eval_scalar`` (so ``exact_gradient``),
+    ``analysis.jacobian_decay_study`` and ``analysis.transport_slice``, and
+    ``benchmarks.gmm.exact_objective_value`` and ``entropy_prior_gradient``.
     """
 
     def __init__(self):

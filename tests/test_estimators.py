@@ -6,7 +6,16 @@ import gc
 import numpy as np
 import pytest
 
-from redge.analysis import PolyObjective, random_cubic, random_linear, random_quadratic
+from redge.analysis import (
+    PolyObjective,
+    bias_variance,
+    jacobian_decay_study,
+    random_cubic,
+    random_linear,
+    random_quadratic,
+    transport_slice,
+)
+from redge.benchmarks import gmm, runner
 from redge.categorical import (
     FactorizedCategorical,
     enumerate_onehots,
@@ -380,27 +389,58 @@ class TestDispatch:
         np.testing.assert_array_equal(a.grad, b.grad)
 
 
+def tapes_left_by(fn) -> int:
+    """Tapes that outlive ``fn()`` with the cyclic collector off.
+
+    A tape is a reference cycle until it is released, so any tape ``fn``
+    did not release stays in gc.get_objects().
+    """
+
+    def tapes():
+        return sum(isinstance(o, Tape) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tapes()
+        fn()
+        return tapes() - before
+    finally:
+        gc.enable()
+
+
+def cubic_2x3(seed):
+    rng = np.random.default_rng(seed)
+    return FactorizedCategorical(rng.normal(size=(2, 3))), random_cubic(rng, 2, 3)
+
+
+# Callers that build tapes outside estimate: a GMM run two per step (the exact
+# NELBO and the entropy gradient), bias_variance one per enumerated
+# configuration (eval_scalar), transport_slice one per row and the decay study
+# one per t1.
+TAPE_BUILDERS = {
+    "gmm-run": lambda: runner.run_benchmark(
+        gmm.gmm_generate(3, size=500), EstimatorConfig(kind="redge-max"), 5, 0),
+    "bias-variance": lambda: bias_variance(
+        EstimatorConfig(kind="redge", steps=4), *cubic_2x3(23), 3, 0),
+    "transport-slice": lambda: transport_slice([0.3, 0.6], [0.2, 0.7], [0.1]),
+    "decay-study": lambda: jacobian_decay_study([[0.5, -0.2, 0.1]], [0.1, 0.05]),
+}
+
+
 class TestMemoryAndLayout:
     def test_estimate_leaves_no_tape_behind(self):
-        # A tape is a reference cycle; with the cyclic collector off, any tape
-        # estimate did not release stays in gc.get_objects().
-        rng = np.random.default_rng(21)
-        dist = FactorizedCategorical(rng.normal(size=(2, 3)))
-        f = random_cubic(rng, 2, 3)
+        dist, f = cubic_2x3(21)
 
-        def tapes():
-            return sum(isinstance(o, Tape) for o in gc.get_objects())
-
-        gc.collect()
-        gc.disable()
-        try:
-            before = tapes()
+        def every_kind():
             for kind in ESTIMATOR_KINDS:
                 estimate(dist, f, EstimatorConfig(kind=kind, steps=3), 5)
-            left = tapes() - before
-        finally:
-            gc.enable()
-        assert left == 0
+
+        assert tapes_left_by(every_kind) == 0
+
+    @pytest.mark.parametrize("name", sorted(TAPE_BUILDERS))
+    def test_tape_building_callers_leave_no_tape_behind(self, name):
+        assert tapes_left_by(TAPE_BUILDERS[name]) == 0
 
     @pytest.mark.parametrize("categories", [3, 17])
     def test_logits_layout_does_not_change_the_estimate(self, categories):

@@ -3,9 +3,10 @@ enumerating every assignment, the polynomial-programming loss at vertices;
 each benchmark's two forms (the tape objective an estimator differentiates,
 the array form the traces score) agreeing at hard samples; and every gradient
 an estimator or the runner takes from an objective against central
-differences at interior soft points."""
+differences at interior soft points; and the GMM clustering accuracy against
+the maximum over every label permutation."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -148,3 +149,44 @@ def test_gmm_entropy_prior_gradient_matches_central_differences():
 def test_polyprog_rejects_an_empty_problem():
     with pytest.raises(ValueError, match="length must be at least 1, got 0"):
         PolyProgProblem(length=0)
+
+
+def brute_force_accuracy(pred, true_z, k):
+    """Best fraction of matches over all k! relabellings of the predictions."""
+    return max(np.mean(np.asarray(perm)[pred] == true_z) for perm in permutations(range(k)))
+
+
+def test_clustering_accuracy_is_one_for_every_relabelling():
+    true_z = np.array([0, 1, 2, 3, 3, 2, 1, 0, 2])
+    for perm in permutations(range(4)):
+        logits = 5.0 * np.eye(4)[np.asarray(perm)[true_z]]
+        assert gmm.clustering_accuracy(logits, true_z) == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_clustering_accuracy_matches_brute_force_over_permutations(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(10):
+        size = int(rng.integers(1, 30))
+        logits = rng.standard_normal((size, k))
+        true_z = rng.integers(0, k, size=size)
+        want = brute_force_accuracy(np.argmax(logits, axis=1), true_z, k)
+        assert gmm.clustering_accuracy(logits, true_z) == want
+
+
+def test_clustering_accuracy_partial_case():
+    # Predictions 0 0 1 1 2 2 against truth 1 1 0 2 2 2: the best relabelling
+    # 0->1, 1->0, 2->2 matches rows 0, 1, 2, 4 and 5.
+    logits = np.eye(3)[[0, 0, 1, 1, 2, 2]]
+    assert gmm.clustering_accuracy(logits, [1, 1, 0, 2, 2, 2]) == 5 / 6
+
+
+@pytest.mark.parametrize("logits, true_z, message", [
+    (5.0 * np.eye(3), [0, 1, -1], r"labels must lie in \[0, 3\)"),
+    (5.0 * np.eye(3), [0, 1, 3], r"labels must lie in \[0, 3\)"),
+    (5.0 * np.eye(3), [0, 1], "2 labels for 3 logit rows"),
+    (np.zeros((0, 3)), [], "empty input"),
+], ids=["negative-label", "label-past-k", "length-mismatch", "empty"])
+def test_clustering_accuracy_rejects_bad_labels(logits, true_z, message):
+    with pytest.raises(ValueError, match=message):
+        gmm.clustering_accuracy(logits, true_z)
