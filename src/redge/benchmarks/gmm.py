@@ -11,12 +11,6 @@ with point estimates of the means, optimized by minimizing
 The assignment entropy and the uniform prior are separable and evaluated
 analytically; only the likelihood term, which is linear in the one-hot
 sample, goes through a stochastic gradient estimator.
-
-scipy is imported on first use, inside :func:`clustering_accuracy` (the only
-caller of ``scipy.optimize.linear_sum_assignment``, for the summary's
-accuracy field): the objective and its gradients need only numpy, and
-importing ``scipy.optimize`` would otherwise take most of the time and memory
-of ``import redge.benchmarks``.
 """
 
 from __future__ import annotations
@@ -120,28 +114,71 @@ def map_gradient(mhat: np.ndarray, problem: GmmProblem) -> np.ndarray:
     return np.asarray(mhat, dtype=np.float64) / problem.sigma0**2
 
 
+def _max_weight_assignment(weights: np.ndarray) -> np.ndarray:
+    """Row matched to each column of a square matrix so that the matched
+    weights sum to their maximum.
+
+    The Hungarian method with row and column potentials and shortest
+    augmenting paths (Kuhn 1955; Munkres 1957), O(k^3), run on the costs
+    ``max(weights) - weights``.  Rows and columns are 1-based inside: column 0
+    is a virtual column holding the row being inserted, and row 0 of the
+    padded costs is never read.  On integer weights every potential and
+    reduced cost stays an integer, so float64 arithmetic is exact.
+    """
+    k = weights.shape[0]
+    cost = np.zeros((k + 1, k + 1))
+    cost[1:, 1:] = weights.max() - weights
+    u, v = np.zeros(k + 1), np.zeros(k + 1)      # row and column potentials
+    row_of = np.zeros(k + 1, dtype=np.int64)     # 0 marks a free column
+    for row in range(1, k + 1):
+        row_of[0], col = row, 0
+        slack = np.full(k + 1, np.inf)           # shortest path cost to each column
+        prev = np.zeros(k + 1, dtype=np.int64)   # column before each on that path
+        done = np.zeros(k + 1, dtype=bool)
+        while row_of[col]:
+            done[col] = True
+            r = row_of[col]
+            reduced = cost[r] - u[r] - v
+            closer = ~done & (reduced < slack)
+            slack[closer] = reduced[closer]
+            prev[closer] = col
+            col = int(np.argmin(np.where(done, np.inf, slack)))
+            delta = slack[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            slack[~done] -= delta
+        while col:                               # augment along the path
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    return row_of[1:] - 1
+
+
 def clustering_accuracy(logits, true_z) -> float:
     """Fraction of rows assigned to the right cluster under the best label
     permutation (optimal assignment on the confusion matrix).
 
-    ``true_z`` holds one label in [0, K) per row of the (N, K) ``logits``;
-    an empty input, a length mismatch or a label out of range raises
+    ``true_z`` holds one integer label in [0, K) per row of the (N, K)
+    ``logits``; an empty input, a length mismatch, a non-finite logit, a
+    non-integer or non-finite label or a label out of range raises
     ``ValueError``.
     """
-    from scipy.optimize import linear_sum_assignment  # on first use: see the module docstring
-
     logits = as_matrix(logits)
-    true_z = np.asarray(true_z, dtype=np.int64).ravel()
-    if logits.size == 0 or true_z.size == 0:
+    labels = np.asarray(true_z, dtype=np.float64).ravel()
+    if logits.size == 0 or labels.size == 0:
         raise ValueError("clustering_accuracy: empty input")
-    if true_z.size != logits.shape[0]:
-        raise ValueError(f"clustering_accuracy: {true_z.size} labels for "
+    if labels.size != logits.shape[0]:
+        raise ValueError(f"clustering_accuracy: {labels.size} labels for "
                          f"{logits.shape[0]} logit rows")
+    if not np.isfinite(logits).all():
+        raise ValueError("clustering_accuracy: logits must be finite")
+    bad = labels[~(np.isfinite(labels) & (labels == np.trunc(labels)))]
+    if bad.size:
+        raise ValueError(f"clustering_accuracy: labels must be integers, got {bad[0]}")
     k = logits.shape[1]
-    if true_z.min() < 0 or true_z.max() >= k:
+    if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"clustering_accuracy: labels must lie in [0, {k})")
     pred = np.argmax(logits, axis=1)
     confusion = np.zeros((k, k))
-    np.add.at(confusion, (pred, true_z), 1.0)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    return float(confusion[rows, cols].sum() / true_z.size)
+    np.add.at(confusion, (pred, labels.astype(np.int64)), 1.0)
+    rows = _max_weight_assignment(confusion)
+    return float(confusion[rows, np.arange(k)].sum() / labels.size)

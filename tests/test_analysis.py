@@ -301,3 +301,15 @@ class TestTransportSlice:
         t1, q, theta, out = rows[0]
         assert (t1, q, theta) == (0.2, 0.25, 0.3)
         assert np.isfinite(out)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_rejects_quantile_outside_unit_interval(self, q):
+        # the inverse normal CDF is -inf, inf or undefined there, which used
+        # to give rows of nan
+        with pytest.raises(ValueError, match=f"quantile must lie in \\(0, 1\\), got {q}"):
+            transport_slice([0.3], [0.5, q], [0.2], n=4)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_rejects_theta_outside_unit_interval(self, theta):
+        with pytest.raises(ValueError, match=f"theta must lie in \\(0, 1\\), got {theta}"):
+            transport_slice([0.3, theta], [0.5], [0.2], n=4)

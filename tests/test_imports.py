@@ -1,5 +1,8 @@
 """Import hygiene: every name imported in ``src/redge`` and ``tests`` is
-used in its module, and loading the package pulls in no scipy module.
+used in its module, and the package depends on numpy alone: no file of it
+imports scipy, and neither loading it nor running its scipy-free
+replacements (``transport_slice``, ``clustering_accuracy`` through a GMM run)
+pulls in a scipy module.
 
 A small AST scan stands in for a linter: re-exports in ``__init__.py`` files
 and ``__future__`` imports are exempt.
@@ -35,6 +38,18 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [(4, "b")]
 
 
+def imported_modules(source: str) -> set:
+    """Top-level package of every module the source imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
 def test_no_unused_imports():
     paths = [p for d in ("src/redge", "tests") for p in sorted((ROOT / d).rglob("*.py"))
              if p.name != "__init__.py"]
@@ -44,24 +59,38 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def test_package_imports_no_scipy():
+    assert imported_modules("import scipy.special\nfrom numpy import f\n"
+                            "def g():\n    from scipy.optimize import h\n") == {"scipy", "numpy"}
+    paths = sorted((ROOT / "src/redge").rglob("*.py"))
+    assert paths
+    found = [str(p.relative_to(ROOT)) for p in paths
+             if "scipy" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert not found, "scipy imported in: " + ", ".join(found)
+
+
 # Run in a fresh interpreter: this process's sys.modules depends on which
 # tests ran before.
-SCIPY_FREE_IMPORT = """
+SCIPY_FREE_RUN = """
 import json, sys
 import redge, redge.analysis, redge.benchmarks, redge.gradcheck
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from redge.analysis import transport_slice
-from redge.benchmarks.gmm import clustering_accuracy
+from redge.benchmarks import gmm, runner
+from redge.estimators import EstimatorConfig
 rows = transport_slice([0.25], [0.5, 0.9], [0.1])
-accuracy = clustering_accuracy([[1.0, 0.0], [0.0, 1.0]], [1, 0])
-print(json.dumps({"loaded": loaded, "rows": len(rows), "accuracy": accuracy}))
+accuracy = gmm.clustering_accuracy([[1.0, 0.0], [0.0, 1.0]], [1, 0])
+run = runner.run_benchmark(gmm.gmm_generate(3, size=20, components=4),
+                           EstimatorConfig(kind="redge-max"), 2, 0)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"loaded": loaded, "rows": len(rows), "accuracy": accuracy,
+                  "run_accuracy": 0.0 <= run.summary["clustering_accuracy"] <= 1.0}))
 """
 
 
-def test_import_loads_no_scipy_until_first_use():
+def test_no_scipy_module_loaded_after_use():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", SCIPY_FREE_IMPORT], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report == {"loaded": [], "rows": 2, "accuracy": 1.0}
+    assert report == {"loaded": [], "rows": 2, "accuracy": 1.0, "run_accuracy": True}

@@ -151,9 +151,14 @@ def test_polyprog_rejects_an_empty_problem():
         PolyProgProblem(length=0)
 
 
+def permutation_array(k):
+    """(k!, k) array of every permutation of range(k)."""
+    return np.array(list(permutations(range(k))), dtype=np.int64).reshape(-1, k)
+
+
 def brute_force_accuracy(pred, true_z, k):
     """Best fraction of matches over all k! relabellings of the predictions."""
-    return max(np.mean(np.asarray(perm)[pred] == true_z) for perm in permutations(range(k)))
+    return float((permutation_array(k)[:, pred] == true_z).mean(axis=1).max())
 
 
 def test_clustering_accuracy_is_one_for_every_relabelling():
@@ -163,7 +168,7 @@ def test_clustering_accuracy_is_one_for_every_relabelling():
         assert gmm.clustering_accuracy(logits, true_z) == 1.0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_clustering_accuracy_matches_brute_force_over_permutations(k):
     rng = np.random.default_rng(40 + k)
     for _ in range(10):
@@ -172,6 +177,35 @@ def test_clustering_accuracy_matches_brute_force_over_permutations(k):
         true_z = rng.integers(0, k, size=size)
         want = brute_force_accuracy(np.argmax(logits, axis=1), true_z, k)
         assert gmm.clustering_accuracy(logits, true_z) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+def test_assignment_matches_brute_force_on_tie_heavy_weights(k):
+    # Small-integer weights tie often; every optimum has the same total,
+    # which must equal the maximum over all k! column orders.
+    rng = np.random.default_rng(70 + k)
+    perms, cols = permutation_array(k), np.arange(k)
+    for top in (0, 1, 1, 2, 3, 9):
+        weights = rng.integers(0, top + 1, size=(k, k)).astype(np.float64)
+        rows = gmm._max_weight_assignment(weights)
+        assert sorted(rows) == list(range(k))
+        assert weights[rows, cols].sum() == weights[perms, cols].sum(axis=1).max()
+
+
+def test_assignment_recovers_a_permuted_confusion_matrix():
+    # Predicted cluster perm[c] holds 10 rows of true cluster c and c % 7 < 10
+    # rows of cluster c - 1.  No assignment beats the sum of row maxima, 200,
+    # and only perm reaches it.
+    k = 20
+    perm = np.random.default_rng(20).permutation(k)
+    true_z = np.concatenate([np.full(10, c) for c in range(k)]
+                            + [np.full(c % 7, (c - 1) % k) for c in range(k)])
+    pred = np.concatenate([np.full(10, perm[c]) for c in range(k)]
+                          + [np.full(c % 7, perm[c]) for c in range(k)])
+    confusion = np.zeros((k, k))
+    np.add.at(confusion, (pred, true_z), 1.0)
+    np.testing.assert_array_equal(gmm._max_weight_assignment(confusion), perm)
+    assert gmm.clustering_accuracy(np.eye(k)[pred], true_z) == 200 / true_z.size
 
 
 def test_clustering_accuracy_partial_case():
@@ -186,7 +220,14 @@ def test_clustering_accuracy_partial_case():
     (5.0 * np.eye(3), [0, 1, 3], r"labels must lie in \[0, 3\)"),
     (5.0 * np.eye(3), [0, 1], "2 labels for 3 logit rows"),
     (np.zeros((0, 3)), [], "empty input"),
-], ids=["negative-label", "label-past-k", "length-mismatch", "empty"])
+    (5.0 * np.eye(3), [0, 1, 2.7], "labels must be integers, got 2.7"),
+    (5.0 * np.eye(3), [0, 1.5, 2], "labels must be integers, got 1.5"),
+    (5.0 * np.eye(3), [0, np.nan, 2], "labels must be integers, got nan"),
+    (5.0 * np.eye(3), [np.inf, 1, 2], "labels must be integers, got inf"),
+    ([[1.0, np.nan], [0.0, 1.0]], [0, 1], "logits must be finite"),
+    ([[1.0, 0.0], [-np.inf, 1.0]], [0, 1], "logits must be finite"),
+], ids=["negative-label", "label-past-k", "length-mismatch", "empty", "fractional-label",
+        "half-label", "nan-label", "inf-label", "nan-logit", "inf-logit"])
 def test_clustering_accuracy_rejects_bad_labels(logits, true_z, message):
     with pytest.raises(ValueError, match=message):
         gmm.clustering_accuracy(logits, true_z)
