@@ -90,11 +90,14 @@ def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProb
     """The exact negative ELBO: entropy and assignment prior, the expected
     likelihood cost (the dot against the probability matrix, since the
     likelihood term is linear in the one-hot) and the N(0, sigma0^2 I) prior
-    on the means."""
-    tape = Tape()
-    entropy = entropy_prior_term(tape.constant(logits), problem).value[0, 0]
-    tape.release()
-    cost = float((stable_softmax(logits) * likelihood_cost(mhat, problem)).sum())
+    on the means: :func:`entropy_prior_term`'s value, without a tape.  A
+    probability that underflowed to zero has no finite log and raises
+    ``ValueError``."""
+    p = stable_softmax(logits)
+    if not np.all(p > 0.0):
+        raise ValueError("exact_objective_value: a probability underflowed to 0")
+    entropy = float((p * np.log(p)).sum()) + problem.size * np.log(problem.components)
+    cost = float((p * likelihood_cost(mhat, problem)).sum())
     var0 = problem.sigma0**2
     prior = (np.power(mhat, 2.0).sum() * (1.0 / (2.0 * var0))
              + 0.5 * problem.dim * problem.components * (_LOG_2PI + np.log(var0)))

@@ -17,7 +17,8 @@ Every random stream is ``SeedSequence(entropy=(seed, n))``: initial
 parameters use n = ``init_tag`` (1 poly, 2 GMM logits then means, 3 Sudoku),
 and the estimator at step k spawns its two streams from n = k (spawned
 children never coincide with the stream n itself).  The Sudoku Monte-Carlo
-loss uses n = m + k at step k and n = m + steps + 1 for the summary, with
+loss draws each free cell's digit by inverse CDF, one uniform per (draw,
+cell), from n = m + k at step k and n = m + steps + 1 for the summary, with
 m = max(steps, 4): above both the estimator tags and the init tags, and
 m = steps whenever steps >= 4.  A rerun with the same configuration is
 therefore bit-identical; traces deliberately contain no wall-clock columns.
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..categorical import FactorizedCategorical, gumbel_max
+from ..categorical import FactorizedCategorical
 from ..estimators import EstimatorConfig, estimate
 from .adam import AdamState, adam_step
 from . import gmm as gmm_mod
@@ -85,9 +86,17 @@ def _jsonify(obj):
 # ---------------------------------------------------------------------------
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class _Task:
     def __init__(self, est_cfg: EstimatorConfig, steps: int, seed: int, lr: float,
                  echo: dict):
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
         self.est_cfg, self.steps, self.seed, self.lr = est_cfg, steps, seed, lr
         self.echo = {"lr": lr, **echo}
 
@@ -128,6 +137,7 @@ class _GmmTask(_Task):
         super().__init__(est_cfg, steps, seed, lr,
                          {"size": problem.size, "components": problem.components,
                           "sigma0": problem.sigma0, "sigma_y": problem.sigma_y})
+        _check_count("tail", tail)
         self.problem, self.tail = problem, tail
 
     def init(self, rng):
@@ -159,6 +169,7 @@ class _SudokuTask(_Task):
 
     def __init__(self, problems, est_cfg, steps, seed, lr: float = 0.05,
                  mc_draws: int = 16):
+        _check_count("mc_draws", mc_draws)
         self.batch = SudokuBatch(problems)
         super().__init__(est_cfg, steps, seed, lr,
                          {"puzzles": self.batch.count, "mc_draws": mc_draws})
@@ -169,15 +180,16 @@ class _SudokuTask(_Task):
         return [INIT_LOGIT_STD * rng.standard_normal((self.batch.total_free, DIGITS))]
 
     def step(self, params, step):
-        (logits,) = params
-        est = self.estimate(FactorizedCategorical(logits), self.batch.objective, step)
-        loss = _mc_hard_loss(self.batch, logits, self.mc_draws,
+        dist = FactorizedCategorical(params[0])
+        est = self.estimate(dist, self.batch.objective, step)
+        loss = _mc_hard_loss(self.batch, dist.probs, self.mc_draws,
                              _stream(self.seed, self.mc_tag + step)).mean()
         return [est.grad], float(loss)
 
     def summary(self, params, trace):
         logits, batch = params[0], self.batch
-        per_puzzle_loss = _mc_hard_loss(batch, logits, self.mc_draws,
+        per_puzzle_loss = _mc_hard_loss(batch, FactorizedCategorical(logits).probs,
+                                        self.mc_draws,
                                         _stream(self.seed, self.mc_tag + self.steps + 1))
         solved = np.array([is_valid_grid(grid) for grid in batch.argmax_grids(logits)])
         return {"mean_loss": float(per_puzzle_loss.mean()),
@@ -186,15 +198,23 @@ class _SudokuTask(_Task):
                 "solved_count": int(solved.sum())}
 
 
-def _mc_hard_loss(batch: SudokuBatch, logits: np.ndarray, draws: int,
+def _mc_hard_loss(batch: SudokuBatch, probs: np.ndarray, draws: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`.
 
-    The digits are those of `sample_onehot_rows` on the logits tiled `draws`
-    times, from the same stream, without the tiled copy or the one-hot rows.
+    Each free cell's digit is drawn by inverse CDF from one uniform u: the
+    number of k < K-1 whose running sum p_0 + ... + p_k is <= u.  Only K-1
+    sums are compared, so the digit is at most K-1 even where the full sum
+    rounds below 1, and a digit of zero probability (an empty interval) is
+    never drawn.
     """
-    digits = gumbel_max(logits, rng, (draws,))          # (draws, F)
-    return batch.hard_penalties(digits).mean(axis=0)   # (P,)
+    u = rng.random((draws, probs.shape[0]))
+    cdf = np.zeros(probs.shape[0])
+    digits = np.zeros(u.shape, dtype=np.int64)           # (draws, F)
+    for p_k in probs.T[:-1]:                              # category-major running sums
+        cdf += p_k
+        digits += cdf <= u
+    return batch.hard_penalties(digits).mean(axis=0)     # (P,)
 
 
 _TASKS = ((PolyProgProblem, _PolyTask), (gmm_mod.GmmProblem, _GmmTask),

@@ -368,7 +368,7 @@ class Tape:
     the call: ``estimators.estimate`` and ``estimators.eval_objective``,
     ``categorical.eval_scalar`` (so ``exact_gradient``),
     ``analysis.jacobian_decay_study`` and ``analysis.transport_slice``, and
-    ``benchmarks.gmm.exact_objective_value`` and ``entropy_prior_gradient``.
+    ``benchmarks.gmm.entropy_prior_gradient``.
     """
 
     def __init__(self):

@@ -46,6 +46,14 @@ def test_gmm_objective_matches_assignment_enumeration():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_gmm_objective_rejects_an_underflowed_probability():
+    # Two tied maxima halve the smallest subnormal exp(-745) to exactly 0.
+    problem = gmm.gmm_generate(5, size=3, components=3)
+    logits = np.array([[0.0, 0.0, -1000.0], [0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="underflowed to 0"):
+        gmm.exact_objective_value(logits, problem.true_means, problem)
+
+
 @pytest.mark.parametrize("problem", [PolyProgProblem(length=6),
                                      PolyProgProblem(length=6, target=0.3, exponent=3.0),
                                      PolyProgProblem(length=6, relaxation="linear")])

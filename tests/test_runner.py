@@ -1,4 +1,5 @@
-"""Run-harness tests: bit-identical reruns, the diverged path, and dispatch."""
+"""Run-harness tests: bit-identical reruns, the diverged path, dispatch, the
+checks on the task options, and the Sudoku Monte-Carlo trace loss."""
 
 import math
 
@@ -9,6 +10,7 @@ from redge.benchmarks import gmm, runner, sudoku
 from redge.benchmarks.polyprog import PolyProgProblem, exact_polyprog_loss
 from redge.categorical import FactorizedCategorical
 from redge.estimators import EstimatorConfig
+from redge.tensor import stable_softmax
 
 # (problem, estimator config, run_benchmark keyword arguments), all tiny
 CASES = {
@@ -86,9 +88,9 @@ def test_short_sudoku_runs_share_no_stream(monkeypatch):
     states = []
     real = runner._mc_hard_loss
 
-    def recording(batch, logits, draws, rng):
+    def recording(batch, probs, draws, rng):
         states.append(rng.bit_generator.state)
-        return real(batch, logits, draws, rng)
+        return real(batch, probs, draws, rng)
 
     monkeypatch.setattr(runner, "_mc_hard_loss", recording)
     runner.run_benchmark(sudoku.generate_puzzles(1, 4), EstimatorConfig(kind="st"), 2, 11,
@@ -96,3 +98,86 @@ def test_short_sudoku_runs_share_no_stream(monkeypatch):
     assert len(states) == 3
     init = [runner._stream(11, tag).bit_generator.state for tag in (1, 2, 3)]
     assert all(a != b for i, a in enumerate(states) for b in states[i + 1:] + init)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("lr", [-0.1, 0.0, float("nan"), float("inf")])
+def test_learning_rate_must_be_finite_and_positive(name, lr):
+    problem, cfg, kwargs = CASES[name]
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        runner.run_benchmark(problem, cfg, 1, 11, lr=lr, **kwargs)
+
+
+@pytest.mark.parametrize("name, option", [("gmm", "tail"), ("sudoku", "mc_draws")])
+@pytest.mark.parametrize("value", [0, -1, 2.0, True])
+def test_counts_must_be_integers_of_at_least_one(name, option, value):
+    problem, cfg, kwargs = CASES[name]
+    with pytest.raises(ValueError, match=f"{option} must be an integer >= 1, got {value!r}"):
+        runner.run_benchmark(problem, cfg, 1, 11, **{**kwargs, option: value})
+
+
+def _exact_expected_penalty(batch, probs):
+    """Per puzzle, sum over groups and digits of Var + (E - 1)^2 of the count,
+    Var = sum p(1 - p) over the group's independent cells (clues add none)."""
+    grids = batch.grids_from_free(probs)
+    return (sudoku.group_sums(grids * (1.0 - grids)).sum(axis=(-2, -1))
+            + np.square(sudoku.group_sums(grids) - 1.0).sum(axis=(-2, -1)))
+
+
+def test_mc_hard_loss_is_unbiased_for_the_expected_penalty():
+    batch = sudoku.SudokuBatch(sudoku.generate_puzzles(2, 4))
+    probs = stable_softmax(1.5 * np.random.default_rng(3).standard_normal(
+        (batch.total_free, sudoku.DIGITS)))
+    losses = np.array([runner._mc_hard_loss(batch, probs, 16, np.random.default_rng(n))
+                       for n in range(400)])                      # (streams, P)
+    stderr = losses.std(axis=0, ddof=1) / np.sqrt(len(losses))
+    gap = np.abs(losses.mean(axis=0) - _exact_expected_penalty(batch, probs))
+    assert np.all(gap < 4.0 * stderr), (gap, stderr)
+
+
+class _DigitRecorder:
+    """Stands in for a SudokuBatch and keeps the digits it is scored on."""
+
+    def hard_penalties(self, digits):
+        self.digits = digits
+        return np.zeros((digits.shape[0], 1))
+
+
+def test_mc_hard_loss_draws_from_saturated_rows():
+    k = sudoku.DIGITS
+    logits = np.array([np.where(np.arange(k) % 2, -800.0, 0.0),   # odd digits underflow
+                       np.eye(k)[4] * 60.0,                       # near one-hot on 4
+                       np.eye(k)[k - 1] * 60.0,                   # near one-hot on the last
+                       np.r_[np.zeros(k - 1), -800.0],            # last digit underflows
+                       np.zeros(k)])
+    probs = FactorizedCategorical(logits).probs
+    assert np.all(probs[0, 1::2] == 0.0) and probs[3, -1] == 0.0
+    batch = _DigitRecorder()
+    runner._mc_hard_loss(batch, probs, 4000, np.random.default_rng(5))
+    digits = batch.digits
+    assert digits.shape == (4000, 5)
+    assert digits.min() >= 0 and digits.max() < k
+    assert np.all(digits[:, 0] % 2 == 0)
+    assert np.all(digits[:, 1] == 4) and np.all(digits[:, 2] == k - 1)
+    assert digits[:, 3].max() < k - 1
+    assert set(digits[:, 4]) == set(range(k))
+
+
+@pytest.mark.parametrize("kind", ["reinmax", "redge"])
+def test_the_trace_loss_does_not_steer_optimisation(kind, monkeypatch):
+    problems, cfg = sudoku.generate_puzzles(2, 4), EstimatorConfig(kind=kind, steps=3)
+    grids = []
+    real_argmax = sudoku.SudokuBatch.argmax_grids
+
+    def recording_argmax(self, free_logits):
+        grids.append(real_argmax(self, free_logits))
+        return grids[-1]
+
+    monkeypatch.setattr(sudoku.SudokuBatch, "argmax_grids", recording_argmax)
+    real = runner.run_benchmark(problems, cfg, 6, 11)
+    monkeypatch.setattr(runner, "_mc_hard_loss",
+                        lambda batch, probs, draws, rng: np.zeros(batch.count))
+    zeroed = runner.run_benchmark(problems, cfg, 6, 11)
+    assert [row[1] for row in zeroed.trace] == [0.0] * 6
+    assert [row[2] for row in zeroed.trace] == [row[2] for row in real.trace]
+    assert np.array_equal(grids[0], grids[1])
