@@ -86,10 +86,10 @@ def _jsonify(obj):
 # ---------------------------------------------------------------------------
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class _Task:
@@ -233,7 +233,9 @@ def run_benchmark(problem, est_cfg: EstimatorConfig, steps: int, seed: int,
     ``kwargs`` go to the task: ``batch``, ``lr`` for a PolyProgProblem; ``lr``,
     ``tail`` for a GmmProblem; ``lr``, ``mc_draws`` for a list of puzzles.  A
     step with non-finite gradients is traced, not applied, and ends the run.
+    ``steps`` is an integer >= 0; with 0 the summary describes the start.
     """
+    _check_count("steps", steps, least=0)
     cls = next((c for kind, c in _TASKS if isinstance(problem, kind)), None)
     if cls is None:
         raise TypeError(f"unknown problem type {type(problem)!r}")

@@ -202,15 +202,17 @@ class SudokuBatch:
             p.free_cells + GRID_CELLS * i for i, p in enumerate(self.problems)
         ])
         self.clue_matrix = np.concatenate([p.clue_onehot for p in self.problems], axis=0)
-        # Digit counts of the clues per (puzzle, group, digit), and for each
-        # stacked free cell the flat (puzzle, group, 0) key of its 3 groups.
+        # Digit counts of the clues per (puzzle, group, digit); and the flat
+        # (puzzle, group, 0) key of each stacked free cell's row, column and
+        # box, as a C-ordered (3, F) array (np.take keeps that order) so that
+        # the keys of one draw are three contiguous runs over F.
         self.clue_counts = group_sums(
             self.clue_matrix.reshape(self.count, GRID_CELLS, DIGITS)).astype(np.int64)
-        cell_groups = np.zeros((GRID_CELLS, 3), dtype=np.int64)
+        cell_groups = np.zeros((3, GRID_CELLS), dtype=np.int64)
         for g, cells in enumerate(GROUPS):
-            cell_groups[cells, g // 9] = g
+            cell_groups[g // 9, cells] = g
         puzzle, cell = np.divmod(self.scatter_index, GRID_CELLS)
-        self.free_keys = (puzzle[:, None] * 27 + cell_groups[cell]) * DIGITS
+        self.free_keys = (puzzle * 27 + np.take(cell_groups, cell, axis=1)) * DIGITS
 
     @property
     def count(self) -> int:
@@ -241,7 +243,7 @@ class SudokuBatch:
         count of (draw, puzzle, group, digit)."""
         draws = digits.shape[0]
         block = self.count * 27 * DIGITS
-        keys = digits[:, :, None] + self.free_keys
+        keys = digits[:, None, :] + self.free_keys
         keys += block * np.arange(draws)[:, None, None]
         counts = np.bincount(keys.ravel(), minlength=draws * block)
         counts = counts.reshape(draws, self.count, 27, DIGITS)

@@ -24,12 +24,21 @@ weighting 1/v.
 node whose VJP is the closed-form reverse sweep, so trajectories are
 differentiable with respect to the logits, and with respect to the reference
 moments exactly as far as gradients flow into the reference node (the logits
-themselves, their ``detach()`` or a constant).  It works category-major, on
-(K, L) transposes: the n-1 denoiser outputs fill one (n-1, K, L) block, the
-state and the sweep's cotangent are updated in place, and only the starting
-state is kept.  The denoisers and :func:`ddim_step` are also built from tape
-nodes; composed by :func:`composite_trajectory`, which keeps every state,
-they are the oracle for that sweep.
+themselves, their ``detach()`` or a constant).  It picks one of two chains
+from its input:
+
+- K = 2 under the standard reference runs on the per-row gap
+  delta = x_0 - x_1.  The denoiser softmax(theta + c_t x) of a binary row
+  depends on x only through theta_0 - theta_1 + c_t delta, and its covariance
+  is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on (L,)
+  arrays with one exp per row and step.
+- Every other input runs category-major, on (K, L) transposes: the n-1
+  denoiser outputs fill one (n-1, K, L) block, and the state and the sweep's
+  cotangent are updated in place.
+
+Both keep only the starting state.  The denoisers and :func:`ddim_step` are
+also built from tape nodes; composed by :func:`composite_trajectory`, which
+keeps every state, they are the oracle for both chains.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (Node, Tape, as_matrix, covariance_apply,
+from .tensor import (_EXP_FLOOR, Node, Tape, as_matrix, covariance_apply,
                      covariance_apply_by_category, softmax_by_category, softmax_rows,
                      stable_softmax)
 
@@ -76,27 +85,37 @@ _ETA_SCALES = {"zero": 0.0, "half": 0.5, "full": 1.0}
 class Schedule:
     """The linear schedule alpha_t = 1 - t, sigma_t = t on a timestep grid.
 
-    The grid is a strictly decreasing array of timesteps from 1.0 down to 0.0.
-    ``eta_name`` sets the per-step noise: "zero" (eta_t = 0, deterministic),
-    "half" (eta_t = sigma_t / 2) or "full" (eta_t = sigma_t).  The boundary
-    values, the monotonicity of alpha and sigma, and 0 <= eta <= sigma hold
-    by construction, so only the grid and the name are checked.
+    The grid is a strictly decreasing array of timesteps from 1.0 down to 0.0;
+    end points within 1e-12 of those are stored as exactly 1.0 and 0.0, so
+    the last transition is always x_0 = denoise(x_t1, t1).  ``eta_name`` sets
+    the per-step noise: "zero" (eta_t = 0, deterministic), "half"
+    (eta_t = sigma_t / 2) or "full" (eta_t = sigma_t).  The monotonicity of
+    alpha and sigma and 0 <= eta <= sigma hold by construction, so only the
+    grid and the name are checked.
+
+    ``transitions`` holds one (t, s, c_t, a, b, eta_s) per reverse step
+    t -> s, in chain order (see :func:`ddim_step` for a, b and eta_s).
     """
 
     grid: np.ndarray
     eta_name: str = "zero"
+    transitions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        object.__setattr__(self, "grid", grid)
+        grid = np.array(self.grid, dtype=np.float64)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be a 1-D array with at least two timesteps")
-        if abs(grid[0] - 1.0) > _BOUNDARY_TOL or abs(grid[-1]) > _BOUNDARY_TOL:
+        if not (abs(grid[0] - 1.0) <= _BOUNDARY_TOL and abs(grid[-1]) <= _BOUNDARY_TOL):
             raise ValueError("grid must run from 1.0 down to 0.0")
-        if np.any(np.diff(grid) >= 0.0):
+        grid[0], grid[-1] = 1.0, 0.0
+        if not np.all(np.diff(grid) < 0.0):
             raise ValueError("grid must be strictly decreasing")
         if self.eta_name not in _ETA_SCALES:
             raise ValueError(f"unknown eta schedule {self.eta_name!r}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "transitions", tuple(
+            (t, s, self.coef_ratio(t)) + _transition(s, t, self)
+            for t, s in zip(grid[:-1].tolist(), grid[1:].tolist())))
 
     @staticmethod
     def alpha(t: float) -> float:
@@ -210,18 +229,19 @@ def denoiser_jacobians(logits, x, t: float, schedule: Schedule):
     return sig, c * sig
 
 
-def _transition(s: float, t: float, schedule: Schedule, z):
-    """Coefficients (a, b, eta_s) of the reverse step t -> s; a step with
-    eta_s > 0 needs its noise ``z``.  See :func:`ddim_step`."""
+def _transition(s: float, t: float, schedule: Schedule):
+    """Coefficients (a, b, eta_s) of the reverse step t -> s; see :func:`ddim_step`."""
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     sig_s, sig_t, eta_s = schedule.sigma(s), schedule.sigma(t), schedule.eta(s)
     r = math.sqrt(sig_s * sig_s - eta_s * eta_s)
     a = schedule.alpha(s) - schedule.alpha(t) * r / sig_t
     b = r / sig_t
-    if eta_s > 0.0 and z is None:
-        raise ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
     return a, b, eta_s
+
+
+def _missing_z(eta_s: float) -> ValueError:
+    return ValueError(f"a step with eta_s = {eta_s} > 0 needs its noise z")
 
 
 def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
@@ -232,7 +252,9 @@ def ddim_step(s: float, t: float, x_t: Node, d: Node, schedule: Schedule,
     a = alpha_s - alpha_t * r / sigma_t.  ``z`` is the standard-normal draw
     for the step; it is required when eta_s > 0 and unused when eta_s = 0.
     """
-    a, b, eta_s = _transition(s, t, schedule, z)
+    a, b, eta_s = _transition(s, t, schedule)
+    if eta_s > 0.0 and z is None:
+        raise _missing_z(eta_s)
     x_s = d * a + x_t * b
     if eta_s > 0.0:
         x_s = x_s + x_t.tape.constant(eta_s * as_matrix(z))
@@ -257,13 +279,9 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
                rng: np.random.Generator) -> TrajectoryNoise:
     """Draw all randomness a trajectory needs, in a fixed order."""
     x1 = rng.standard_normal((length, categories))
-    step_z = []
-    for s in schedule.grid[1:]:
-        if schedule.eta(s) > 0.0:
-            step_z.append(rng.standard_normal((length, categories)))
-        else:
-            step_z.append(None)
-    return TrajectoryNoise(x1=x1, step_z=tuple(step_z))
+    step_z = tuple(rng.standard_normal((length, categories)) if eta_s > 0.0 else None
+                   for *_, eta_s in schedule.transitions)
+    return TrajectoryNoise(x1=x1, step_z=step_z)
 
 
 @dataclass
@@ -280,11 +298,15 @@ class Trajectory:
 
 
 def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
-    """One z entry per transition (all None if ``step_z`` is empty); every draw has ``shape``."""
-    transitions = len(schedule.grid) - 1
-    step_z = noise.step_z or (None,) * transitions
-    if len(step_z) != transitions:
-        raise ValueError(f"step_z has {len(step_z)} entries for {transitions} transitions")
+    """One z entry per transition (all None if ``step_z`` is empty), a draw
+    for every step with eta_s > 0, and every draw of ``shape``."""
+    transitions = schedule.transitions
+    step_z = noise.step_z or (None,) * len(transitions)
+    if len(step_z) != len(transitions):
+        raise ValueError(f"step_z has {len(step_z)} entries for {len(transitions)} transitions")
+    for (*_, eta_s), z in zip(transitions, step_z):
+        if eta_s > 0.0 and z is None:
+            raise _missing_z(eta_s)
     for draw in (noise.x1, *step_z):
         if draw is not None and as_matrix(draw).shape != shape:
             raise ValueError(f"noise of shape {as_matrix(draw).shape} for logits of shape {shape}")
@@ -306,19 +328,120 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     Its VJP is the closed-form reverse sweep over the stored denoiser outputs
     d_k: for a cotangent g on the state after step k, u = Cov(d_k)(a_k g) is
     the logits' share and b_k g + c_k w u the cotangent on the state before,
-    with w = 1 for the standard reference and w = 1/v otherwise.  It equals
-    the tape gradient of :func:`composite_trajectory`, bit for bit for the
-    standard reference.
+    with w = 1 for the standard reference and w = 1/v otherwise.  The soft
+    sample, the final denoiser and the logits' gradient come back as
+    C-ordered (L, K) arrays.
 
-    Layout: the chain and its sweep work category-major, on (K, L)
-    transposes, so each row's max, total and broadcast is one contiguous op
-    over L (``tensor.softmax_by_category``,
-    ``tensor.covariance_apply_by_category``).  The n-1 denoiser outputs
-    fill one (n-1, K, L) block; the state, and in the sweep the cotangent,
-    are updated in place in a few work arrays.  Every float operation keeps
-    the order of the row-major (L, K) formulas, so the results are
-    bit-identical to them.  The soft sample, the final denoiser and the
-    logits' gradient come back as C-ordered (L, K) arrays.
+    The chain is chosen from the input, K and ``reference``:
+
+    - K = 2 with the standard reference: the gap chain (:func:`_gap_chain`).
+      At n = 2 its soft sample and final denoiser are ``stable_softmax`` of
+      the logits bit for bit, as the composite oracle's are; otherwise they
+      agree with :func:`composite_trajectory` to about 1e-15 relative.  Its
+      gradient agrees to about 1e-12 times the cotangent's norm
+      (``gradcheck.check_gap_chain``).
+    - Otherwise: the category-major chain (:func:`_category_chain`), which
+      equals the tape gradient of :func:`composite_trajectory` bit for bit
+      for the standard reference and to 1e-12 relative through the moments
+      (``gradcheck.check_fused_chain``).
+    """
+    if reference is None and logits.shape[1] == 2:
+        return _gap_chain(logits, schedule, noise)
+    return _category_chain(logits, schedule, noise, reference)
+
+
+def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
+    """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1.
+
+    Per transition, with z = (theta_0 - theta_1) + c delta and
+    e = exp(max(-|z|, -745)), the denoiser's larger entry is 1/(1+e) and its
+    smaller e/(1+e), both by division so that at c = 0 they are
+    ``stable_softmax`` of the logits bit for bit; the larger entry sits in
+    the category of the sign of z.  The step stores the pair in one
+    (n-1, 2, L) block and sets delta <- b delta + a (d_0 - d_1) + eta_s
+    (z_0 - z_1) for its noise z.  The last transition has a = 1, b = 0 and
+    eta = 0 on every grid, so the soft sample is the final denoiser.
+
+    The sweep carries the cotangent gap gamma = g_0 - g_1: from the last
+    step down, u = a_k d_0 d_1 gamma is the logits' share of category 0 (and
+    -u of category 1), and gamma <- b_k gamma + 2 c_k u.
+
+    Storing only the products d_0 d_1 would halve the block, but on 32768 x 2
+    rows the smaller block made glibc hand the heap back to the system after
+    every estimate (it trims once the free top exceeds twice the largest
+    block freed), and re-faulting about 2,500 pages a step took back most
+    of what the gap chain saves.
+    """
+    step_z = _checked_step_z(schedule, noise, logits.shape)
+    x1 = as_matrix(noise.x1)
+    theta = logits.value
+    gap_theta = theta[:, 0] - theta[:, 1]
+    delta = x1[:, 0] - x1[:, 1]
+    z, work = np.empty_like(delta), np.empty_like(delta)
+    block = np.empty((len(step_z), 2) + delta.shape)   # (larger, smaller) d per step
+    for (t, s, c, a, b, eta_s), step, (big, small) in zip(schedule.transitions, step_z, block):
+        np.multiply(delta, c, out=z)
+        np.add(gap_theta, z, out=z)
+        np.abs(z, out=small)
+        np.negative(small, out=small)
+        np.maximum(small, _EXP_FLOOR, out=small)
+        np.exp(small, out=small)             # e
+        np.add(small, 1.0, out=big)          # 1 + e
+        np.divide(small, big, out=small)
+        np.divide(1.0, big, out=big)
+        np.subtract(big, small, out=work)
+        np.copysign(work, z, out=work)
+        np.multiply(work, a, out=work)
+        np.multiply(delta, b, out=delta)
+        np.add(work, delta, out=delta)
+        if eta_s > 0.0:
+            step = as_matrix(step)
+            np.subtract(step[:, 0], step[:, 1], out=work)
+            np.multiply(work, eta_s, out=work)
+            np.add(delta, work, out=delta)
+    big_first = z >= 0.0
+    final = np.empty(theta.shape)
+    final[:, 0] = np.where(big_first, big, small)
+    final[:, 1] = np.where(big_first, small, big)
+
+    def vjp(g):
+        last = len(block) - 1
+        gap = g[:, 0] - g[:, 1]   # the cotangent gap on the current state
+        grad, u = np.empty_like(gap), np.empty_like(gap)
+        for k in range(last, -1, -1):
+            c, a, b = schedule.transitions[k][2:5]
+            out = grad if k == last else u   # the last step's u starts the gradient
+            big, small = block[k]
+            np.multiply(gap, a, out=out)
+            np.multiply(out, big, out=out)
+            np.multiply(out, small, out=out)
+            if out is u:
+                np.add(grad, u, out=grad)
+            if not k:
+                break   # the first state carries no gradient
+            np.multiply(gap, b, out=gap)
+            np.multiply(out, 2.0 * c, out=u)
+            np.add(gap, u, out=gap)
+        both = np.empty(g.shape)
+        both[:, 0] = grad
+        np.negative(grad, out=both[:, 1])
+        return both
+
+    return Trajectory(states=[(1.0, x1)], soft_sample=logits.apply(final.copy(), vjp),
+                      final_denoiser=final)
+
+
+def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
+                    reference: Optional[Node] = None) -> Trajectory:
+    """:func:`sample_trajectory` for any K and reference, category-major.
+
+    The chain and its sweep work on (K, L) transposes, so each row's max,
+    total and broadcast is one contiguous op over L
+    (``tensor.softmax_by_category``, ``tensor.covariance_apply_by_category``).
+    The n-1 denoiser outputs fill one (n-1, K, L) block; the state, and in
+    the sweep the cotangent, are updated in place in a few work arrays.
+    Every float operation keeps the order of the row-major (L, K) formulas,
+    so the results are bit-identical to them.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
     if reference is not None and reference is not logits and reference.requires_grad:
@@ -332,17 +455,14 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         lam, root = np.power(v, -1.0), np.sqrt(v)
         x1 = mu + root * eps
     through_moments = reference is logits
-    grid = schedule.grid
+    transitions = schedule.transitions
     theta = logits.value.T.copy()
     x = x1.T.copy()
     work = np.empty_like(x)
     col = np.empty(x.shape[1])
     block = np.empty((len(step_z),) + x.shape)   # d_k, category-major
     shifts = np.empty_like(block) if through_moments else None
-    coefs = []   # (c, a, b) per transition
-    for k, z in enumerate(step_z):
-        t, s = float(grid[k]), float(grid[k + 1])
-        c = schedule.coef_ratio(t)
+    for k, ((t, s, c, a, b, eta_s), z) in enumerate(zip(transitions, step_z)):
         d = block[k]
         if reference is None:
             np.multiply(x, c, out=d)
@@ -355,24 +475,22 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
             np.multiply(d, c, out=d)
         np.add(theta, d, out=d)
         softmax_by_category(d, col)
-        a, b, eta_s = _transition(s, t, schedule, z)
         np.multiply(x, b, out=x)
         np.multiply(d, a, out=work)
         np.add(work, x, out=x)
         if eta_s > 0.0:
             np.multiply(as_matrix(z).T, eta_s, out=work)
             np.add(x, work, out=x)
-        coefs.append((c, a, b))
 
     def vjp(g):
-        last = len(coefs) - 1
+        last = len(block) - 1
         cot = g.T.copy()   # the cotangent on the current state
         tmp, u, grad = (np.empty_like(cot) for _ in range(3))
         col = np.empty(cot.shape[1])
         if through_moments:
             g_lam, g_mu = np.zeros_like(cot), np.zeros_like(cot)
         for k in range(last, -1, -1):
-            c, a, b = coefs[k]
+            t, s, c, a, b, eta_s = transitions[k]
             np.multiply(cot, a, out=tmp)
             out = grad if k == last else u   # the last step's u starts the gradient
             covariance_apply_by_category(block[k], tmp, out, col)
@@ -391,8 +509,7 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
                 np.add(cot, u, out=cot)
                 if through_moments:
                     np.add(g_lam, np.multiply(h, shifts[k], out=h), out=g_lam)
-                    np.subtract(g_mu, np.multiply(u, schedule.sigma(float(grid[k])), out=u),
-                                out=g_mu)
+                    np.subtract(g_mu, np.multiply(u, schedule.sigma(t), out=u), out=g_mu)
         if not through_moments:
             return grad.T.copy()
         # back through x1 = mu + sqrt(v) eps, lam = 1/v, v = clamp(p(1-p))
@@ -403,7 +520,7 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         g_mu = g_mu.T + g + g_v * (1.0 - 2.0 * mu)
         return np.ascontiguousarray(grad.T + covariance_apply(mu, g_mu))
 
-    return Trajectory(states=[(float(grid[0]), x1)], soft_sample=logits.apply(x.T.copy(), vjp),
+    return Trajectory(states=[(1.0, x1)], soft_sample=logits.apply(x.T.copy(), vjp),
                       final_denoiser=block[-1].T.copy())
 
 
@@ -423,10 +540,9 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
         mu = softmax_rows(reference)
         v = (mu * (1.0 - mu)).clamp_min(path_variance_floor(mu.shape[1]))
         x = mu + v.sqrt() * tape.constant(noise.x1)
-    states = [(float(schedule.grid[0]), x)]
+    states = [(1.0, x)]
     d = None
-    for k, z in enumerate(step_z):
-        t, s = float(schedule.grid[k]), float(schedule.grid[k + 1])
+    for (t, s, *_), z in zip(schedule.transitions, step_z):
         if reference is None:
             d = denoiser(logits, x, t, schedule)
         else:

@@ -51,13 +51,17 @@ class CheckResult:
                 f" (got={self.got:.9g}, want={self.want:.9g})")
 
 
-def _compare(name, got, want, tol, relative=True) -> CheckResult:
+def _compare(name, got, want, tol, relative=True, norm=None) -> CheckResult:
+    """The error norm of ``got`` against ``want``: relative to ``norm`` when
+    one is given, else to the norm of ``want`` or absolute."""
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
     diff = np.abs(got - want)
     idx = np.unravel_index(np.argmax(diff), diff.shape) if diff.size else (0,)
     err = np.linalg.norm(got - want)
-    if relative:
+    if norm is not None:
+        err /= norm
+    elif relative:
         err /= max(np.linalg.norm(want), 1e-12)
     return CheckResult(
         name=name,
@@ -282,28 +286,33 @@ def check_reference_moments(seed: int) -> CheckResult:
     return _compare(f"reference_moments[seed={seed}]", got, want, 1e-12, relative=False)
 
 
-def _chain_outputs(fused: bool, theta, schedule, noise, reference: str, cotangent):
-    """Soft sample, final denoiser and logits gradient under ``cotangent``."""
+def _chain_outputs(chain, theta, schedule, noise, reference: str, cotangent):
+    """Soft sample, final denoiser and logits gradient under ``cotangent``;
+    ``chain`` is a one-node chain of ``diffusion`` or its
+    ``composite_trajectory``."""
     tape = Tape()
     logits = tape.lift(theta, requires_grad=True)
     ref = {"standard": None, "logits": logits, "detach": logits.detach(),
            "constant": tape.constant(theta)}[reference]
-    if fused:
-        traj = diffusion.sample_trajectory(logits, schedule, noise, ref)
-        soft, d_last = traj.soft_sample, traj.final_denoiser
-    else:
-        states, d_node = diffusion.composite_trajectory(logits, schedule, noise, ref)
+    if chain is diffusion.composite_trajectory:
+        states, d_node = chain(logits, schedule, noise, ref)
         soft, d_last = states[-1][1], d_node.value
+    else:
+        traj = chain(logits, schedule, noise, ref)
+        soft, d_last = traj.soft_sample, traj.final_denoiser
     tape.backward(soft, seed=cotangent)
     return soft.value, d_last, grad_or_zero(logits)
 
 
 def check_fused_chain(seed: int) -> list:
-    """The one-node chain of ``sample_trajectory`` against its composite
-    oracle, per reference, noise level and side of the K <= 16 reduction
-    rule, over K in {2, 3, 16} and {17, 20}, n in {2, 4, 16}, and two rows
-    (one row on odd seeds): bit for bit for the deterministic standard
-    chain, else to 1e-12 relative (the worst quantity is reported)."""
+    """The category-major chain of ``sample_trajectory`` against its
+    composite oracle, per reference, noise level and side of the K <= 16
+    reduction rule, over K in {2, 3, 16} and {17, 20}, n in {2, 4, 16}, and
+    two rows (one row on odd seeds): bit for bit for the deterministic
+    standard chain, else to 1e-12 relative (the worst quantity is reported).
+    It calls that chain directly, so K = 2 under the standard reference is
+    checked here too, though ``sample_trajectory`` runs the gap chain there
+    (see :func:`check_gap_chain`)."""
     rng = np.random.default_rng(seed)
     length = 1 if seed % 2 else 2
     results = []
@@ -318,14 +327,52 @@ def check_fused_chain(seed: int) -> list:
                         schedule = diffusion.linear_schedule(n, eta=eta)
                         noise = diffusion.draw_noise(schedule, length, k, rng)
                         cotangent = rng.standard_normal((length, k))
-                        got, want = (_chain_outputs(fused, theta, schedule, noise, reference,
-                                                    cotangent) for fused in (True, False))
+                        got, want = (_chain_outputs(chain, theta, schedule, noise, reference,
+                                                    cotangent)
+                                     for chain in (diffusion._category_chain,
+                                                   diffusion.composite_trajectory))
                         for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
                             r = _compare(f"fused_chain_{what}[{reference},eta={eta},L={length},"
                                          f"K={k},n={n},seed={seed}]", a, b, tol)
                             if worst is None or not r.error <= worst.error:
                                 worst = r
                 results.append(worst)
+    return results
+
+
+def check_gap_chain(seed: int) -> list:
+    """``sample_trajectory`` at K = 2 under the standard reference (the gap
+    chain) against its composite oracle, per noise level and quantity, over
+    n in {2, 4, 16} and one and two rows; the worst case of each is
+    reported.
+
+    The soft sample and the final denoiser must agree to 1e-12 relative.
+    The gradient must agree to 1e-11 times the cotangent's norm, not
+    relative to itself: where the gradient is small against the cotangent,
+    the oracle's own d_0 (g_0 - d_0 g_0 - d_1 g_1) cancels, and a bound
+    relative to the gradient would measure the oracle's rounding."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for eta in ("zero", "half", "full"):
+        worst = {}
+        for n in (2, 4, 16):
+            for length in (1, 2):
+                theta = 1.5 * rng.standard_normal((length, 2))
+                schedule = diffusion.linear_schedule(n, eta=eta)
+                noise = diffusion.draw_noise(schedule, length, 2, rng)
+                cotangent = rng.standard_normal((length, 2))
+                got, want = (_chain_outputs(chain, theta, schedule, noise, "standard", cotangent)
+                             for chain in (diffusion.sample_trajectory,
+                                           diffusion.composite_trajectory))
+                for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
+                    name = f"gap_chain_{what}[eta={eta},L={length},n={n},seed={seed}]"
+                    if what == "grad":
+                        r = _compare(name, a, b, 1e-11, norm=np.linalg.norm(cotangent))
+                    else:
+                        r = _compare(name, a, b, 1e-12)
+                    if what not in worst or not r.error <= worst[what].error:
+                        worst[what] = r
+        results.extend(worst.values())
     return results
 
 
@@ -430,7 +477,7 @@ def run_gradcheck(seeds=(0, 1, 2, 3, 4), name_filter: Optional[str] = None) -> l
             if name_filter and name_filter not in check.__name__:
                 continue
             results.append(check(seed))
-        for check in (check_fused_chain, check_pathwise_fd):
+        for check in (check_fused_chain, check_gap_chain, check_pathwise_fd):
             if not name_filter or name_filter in check.__name__:
                 results.extend(check(seed))
     return results

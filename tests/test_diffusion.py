@@ -50,6 +50,21 @@ class TestSchedule:
             uniform_grid(4, t1=0.0)
         with pytest.raises(ValueError):
             linear_schedule(grid=np.array([1.0, 0.5, 0.6, 0.0]))
+        for grid in ([np.nan, 0.5, 0.0], [1.0, np.nan, 0.0], [1.0, 0.5, np.nan]):
+            with pytest.raises(ValueError):
+                linear_schedule(grid=np.array(grid))
+
+    def test_transitions_end_exactly_at_the_denoiser(self):
+        # End points within the tolerance are stored exactly, so the last
+        # step is x_0 = denoise(x_t1, t1) for every eta; the caller's grid
+        # is left as it was.
+        grid = np.array([1.0 - 1e-13, 0.5, 1e-13])
+        for eta in ("zero", "half", "full"):
+            sched = linear_schedule(grid=grid, eta=eta)
+            assert sched.grid.tolist() == [1.0, 0.5, 0.0]
+            assert sched.transitions[0][:3] == (1.0, 0.5, 0.0)
+            assert sched.transitions[-1][3:] == (1.0, 0.0, 0.0)
+        assert grid[0] == 1.0 - 1e-13 and grid[-1] == 1e-13
 
     def test_coef_ratio(self):
         sched = linear_schedule(2)
@@ -263,15 +278,18 @@ class TestStochasticStep:
 
 class TestTrajectory:
     def test_single_step_reduction_is_bitwise(self):
+        # K = 2 runs on the logit gap, every other K category-major.
         rng = np.random.default_rng(11)
         sched = linear_schedule(2)
-        for _ in range(10):
-            logits = rng.normal(size=(3, 4))
-            tape = Tape()
-            leaf = tape.lift(logits, requires_grad=True)
-            traj = sample_trajectory(leaf, sched, draw_noise(sched, 3, 4, rng))
-            expected = stable_softmax(logits)
-            assert traj.soft_sample.value.tobytes() == expected.tobytes()
+        for categories in (4, 2):
+            for _ in range(10):
+                logits = rng.normal(size=(3, categories))
+                tape = Tape()
+                leaf = tape.lift(logits, requires_grad=True)
+                traj = sample_trajectory(leaf, sched, draw_noise(sched, 3, categories, rng))
+                expected = stable_softmax(logits)
+                assert traj.soft_sample.value.tobytes() == expected.tobytes()
+                assert traj.final_denoiser.tobytes() == expected.tobytes()
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(12)
@@ -374,6 +392,20 @@ class TestClosedFormJacobians:
         sig_theta, sig_x = denoiser_jacobians(logits, np.zeros((1, 2)), 0.9, sched)
         np.testing.assert_allclose(sig_theta, 0.0, atol=1e-12)
         np.testing.assert_allclose(sig_x, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", ["zero", "half", "full"])
+def test_saturated_binary_rows_keep_finite_gradients(eta):
+    # Logit gaps of +-800 saturate every denoiser of the gap chain.
+    rng = np.random.default_rng(14)
+    theta = np.array([[800.0, 0.0], [0.0, 800.0], [-400.0, 400.0]])
+    sched = linear_schedule(16, t1=0.02, eta=eta)
+    tape = Tape()
+    leaf = tape.lift(theta, requires_grad=True)
+    traj = sample_trajectory(leaf, sched, draw_noise(sched, 3, 2, rng))
+    tape.backward(traj.soft_sample, seed=rng.standard_normal((3, 2)))
+    assert np.all(np.isfinite(leaf.grad))
+    assert np.all(traj.final_denoiser > 0.0)
 
 
 def test_draw_noise_deterministic():

@@ -185,10 +185,12 @@ class TestReinforce:
 class TestReductionIdentities:
     """Single diffusion step, shared integer seed: classical estimators exactly."""
 
+    categories = 4
+
     def setup_method(self):
         rng = np.random.default_rng(8)
-        self.dist = FactorizedCategorical(rng.normal(size=(3, 4)))
-        self.f = random_cubic(rng, 3, 4)
+        self.dist = FactorizedCategorical(rng.normal(size=(3, self.categories)))
+        self.f = random_cubic(rng, 3, self.categories)
 
     def test_soft_reduces_to_soft_st(self):
         cfg = EstimatorConfig(kind="redge-soft", steps=2)
@@ -214,6 +216,12 @@ class TestReductionIdentities:
         cfg = EstimatorConfig(kind="redge-cov", steps=2)
         est = estimate(self.dist, self.f, cfg, 24)
         np.testing.assert_allclose(est.soft_sample, self.dist.probs, atol=1e-12)
+
+
+class TestReductionIdentitiesBinary(TestReductionIdentities):
+    """The same identities at K = 2, where the chain runs on the logit gap."""
+
+    categories = 2
 
 
 class TestRedgeEstimators:

@@ -116,6 +116,13 @@ def test_counts_must_be_integers_of_at_least_one(name, option, value):
         runner.run_benchmark(problem, cfg, 1, 11, **{**kwargs, option: value})
 
 
+@pytest.mark.parametrize("steps", [-3, -1, 2.0, True, None])
+def test_steps_must_be_an_integer_of_at_least_zero(steps):
+    problem, cfg, kwargs = CASES["poly"]
+    with pytest.raises(ValueError, match=f"steps must be an integer >= 0, got {steps!r}"):
+        runner.run_benchmark(problem, cfg, steps, 11, **kwargs)
+
+
 def _exact_expected_penalty(batch, probs):
     """Per puzzle, sum over groups and digits of Var + (E - 1)^2 of the count,
     Var = sum p(1 - p) over the group's independent cells (clues add none)."""
