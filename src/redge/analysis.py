@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .categorical import FactorizedCategorical, exact_gradient, gumbel_max
+from .categorical import FactorizedCategorical, exact_gradient, inverse_cdf
 from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_schedule,
                         sample_trajectory, uniform_grid)
 from .estimators import (
@@ -378,9 +378,9 @@ def bias_variance(config: EstimatorConfig, dist: FactorizedCategorical, f,
 
 def _batched_single_shot(config, dist, f, replications, rng):
     """Vectorized replications for the single-draw estimators: an (R, L, K)
-    stack of Gumbel-max draws pushed through the estimators' own formulas."""
+    stack of inverse-CDF draws pushed through the estimators' own formulas."""
     p = dist.probs
-    onehots = np.eye(dist.categories)[gumbel_max(dist.logits, rng, (replications,))]
+    onehots = np.eye(dist.categories)[inverse_cdf(p, rng, (replications,))]
     if config.kind == "reinforce":
         return reinforce_apply(p, onehots, f.value_batch(onehots), config.baseline)
     gx = f.grad_batch(onehots)

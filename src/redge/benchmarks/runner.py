@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..categorical import FactorizedCategorical
+from ..categorical import FactorizedCategorical, inverse_cdf
 from ..estimators import EstimatorConfig, estimate
 from .adam import AdamState, adam_step
 from . import gmm as gmm_mod
@@ -200,20 +200,9 @@ class _SudokuTask(_Task):
 
 def _mc_hard_loss(batch: SudokuBatch, probs: np.ndarray, draws: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`.
-
-    Each free cell's digit is drawn by inverse CDF from one uniform u: the
-    number of k < K-1 whose running sum p_0 + ... + p_k is <= u.  Only K-1
-    sums are compared, so the digit is at most K-1 even where the full sum
-    rounds below 1, and a digit of zero probability (an empty interval) is
-    never drawn.
-    """
-    u = rng.random((draws, probs.shape[0]))
-    cdf = np.zeros(probs.shape[0])
-    digits = np.zeros(u.shape, dtype=np.int64)           # (draws, F)
-    for p_k in probs.T[:-1]:                              # category-major running sums
-        cdf += p_k
-        digits += cdf <= u
+    """Monte-Carlo penalty over hard samples: per-puzzle average of `draws`,
+    each free cell's digit drawn by ``inverse_cdf``."""
+    digits = inverse_cdf(probs, rng, (draws,))            # (draws, F)
     return batch.hard_penalties(digits).mean(axis=0)     # (P,)
 
 

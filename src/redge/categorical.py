@@ -2,7 +2,8 @@
 
 A distribution over L independent K-way choices is parameterized by an LxK
 logit matrix; row i of the probability matrix is the softmax of logit row i.
-Samples are LxK one-hot matrices drawn per row with the Gumbel-max trick.
+Samples are LxK one-hot matrices drawn per row by inverse CDF, one uniform
+per row; Gumbel noise serves only the Gumbel-softmax estimator.
 
 Includes the exact enumeration gradient oracle (sums over all K^L one-hot
 configurations, capped) against which the stochastic estimators are tested.
@@ -37,8 +38,7 @@ def onehot_from_indices(indices, categories: int) -> OneHotSample:
     indices = np.asarray(indices, dtype=np.int64).ravel()
     if indices.min(initial=0) < 0 or indices.max(initial=0) >= categories:
         raise ValueError("category index out of range")
-    onehot = np.zeros((indices.size, categories))
-    onehot[np.arange(indices.size), indices] = 1.0
+    onehot = np.take(np.eye(categories), indices, axis=0)   # rows of the identity
     return OneHotSample(indices=indices, onehot=onehot)
 
 
@@ -79,29 +79,35 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     return np.negative(g, out=g)
 
 
-def sample_onehot_rows(log_weights: np.ndarray, rng: np.random.Generator) -> OneHotSample:
-    """Per-row categorical draw via argmax of log-weights plus Gumbel noise.
+def sample_onehot_rows(probs: np.ndarray, rng: np.random.Generator) -> OneHotSample:
+    """Per-row categorical draw from row probabilities by :func:`inverse_cdf`;
+    equal probabilities and stream give equal indices."""
+    probs = as_matrix(probs)
+    return onehot_from_indices(inverse_cdf(probs, rng), probs.shape[1])
 
-    Rows with the same log-weights up to a per-row constant produce the same
-    indices for the same noise, which is what lets single-step diffusion
-    draws coincide with plain categorical draws under a shared stream.
+
+def inverse_cdf(probs: np.ndarray, rng: np.random.Generator, draws=()) -> np.ndarray:
+    """Indices of shape ``draws + (L,)`` drawn from the (L, K) row
+    probabilities: the stream and indices of one draw from ``probs`` stacked
+    ``draws`` times.  Each takes one uniform u and counts the k < K-1 whose
+    running sum p_0 + ... + p_k is <= u, so it stays below K where the sum
+    rounds below 1 and never lands on a zero-probability category.  A
+    negative or non-finite entry (a log-weight, say) raises ``ValueError``.
     """
-    log_weights = as_matrix(log_weights)
-    return onehot_from_indices(gumbel_max(log_weights, rng), log_weights.shape[1])
-
-
-def gumbel_max(log_weights: np.ndarray, rng: np.random.Generator, draws=()) -> np.ndarray:
-    """Indices argmax(log_weights + Gumbel noise) along the last axis, for
-    noise of shape ``draws + log_weights.shape``: the stream and the indices of
-    one draw from ``log_weights`` stacked ``draws`` times, without the stack."""
-    g = gumbel_noise(tuple(draws) + log_weights.shape, rng)
-    g += log_weights
-    return np.argmax(g, axis=-1)
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < np.inf):   # nan fails too
+        raise ValueError("probabilities must be finite and non-negative")
+    u = rng.random(tuple(draws) + probs.shape[:1])
+    cdf = np.zeros(probs.shape[0])
+    indices = np.zeros(u.shape, dtype=np.int64)
+    for p_k in probs.T[:-1]:   # category-major running sums
+        cdf += p_k
+        indices += cdf <= u
+    return indices
 
 
 def sample(dist: FactorizedCategorical, rng: np.random.Generator) -> OneHotSample:
-    """One-hot sample from the distribution (Gumbel-max on the logits)."""
-    return sample_onehot_rows(dist.logits, rng)
+    """One-hot sample from the distribution (inverse CDF on the probabilities)."""
+    return sample_onehot_rows(dist.probs, rng)
 
 
 def enumerate_onehots(length: int, categories: int):

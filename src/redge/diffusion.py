@@ -268,7 +268,8 @@ class TrajectoryNoise:
     ``x1`` is the standard-normal draw; under a moment-matched reference it is
     transformed to mu + sqrt(v) * x1 inside the trajectory.  ``step_z`` holds
     one entry per transition, None where the step is deterministic; left
-    empty, every step is deterministic.
+    empty, every step is deterministic.  Draws have the logits' (L, K) shape;
+    at K = 2 :func:`draw_noise` stores each as (gap, 0), see there.
     """
 
     x1: np.ndarray
@@ -277,10 +278,20 @@ class TrajectoryNoise:
 
 def draw_noise(schedule: Schedule, length: int, categories: int,
                rng: np.random.Generator) -> TrajectoryNoise:
-    """Draw all randomness a trajectory needs, in a fixed order."""
-    x1 = rng.standard_normal((length, categories))
-    step_z = tuple(rng.standard_normal((length, categories)) if eta_s > 0.0 else None
-                   for *_, eta_s in schedule.transitions)
+    """Draw all randomness a trajectory needs, in a fixed order: x1, then one
+    z per step with eta_s > 0.  Every K = 2 chain reads a draw only through its
+    gap (the moment-matched one as v_0 = v_1), so at K = 2 a draw is one
+    N(0, 2) value per row, the gap of two standard normals, stored as (gap, 0)."""
+    def draw():
+        if categories != 2:
+            return rng.standard_normal((length, categories))
+        w = np.zeros((2, length)).T   # column-major, so the gap is drawn in place
+        rng.standard_normal(length, out=w[:, 0])
+        w[:, 0] *= math.sqrt(2.0)
+        return w
+
+    x1 = draw()
+    step_z = tuple(draw() if eta_s > 0.0 else None for *_, eta_s in schedule.transitions)
     return TrajectoryNoise(x1=x1, step_z=step_z)
 
 
@@ -353,14 +364,14 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
 def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
     """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1.
 
-    Per transition, with z = (theta_0 - theta_1) + c delta and
-    e = exp(max(-|z|, -745)), the denoiser's larger entry is 1/(1+e) and its
-    smaller e/(1+e), both by division so that at c = 0 they are
-    ``stable_softmax`` of the logits bit for bit; the larger entry sits in
-    the category of the sign of z.  The step stores the pair in one
-    (n-1, 2, L) block and sets delta <- b delta + a (d_0 - d_1) + eta_s
-    (z_0 - z_1) for its noise z.  The last transition has a = 1, b = 0 and
-    eta = 0 on every grid, so the soft sample is the final denoiser.
+    Each transition stores the denoiser pair of z = (theta_0 - theta_1) +
+    c delta in one (n-1, 2, L) block.  The n-2 intermediate ones take
+    e = exp(min(-z, 709)) (finite), d_0 = 1/(1+e), d_1 = e d_0 and set
+    delta <- b delta + 2a d_0 - a + eta_s (z_0 - z_1) for their noise z.  The
+    last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is its
+    denoiser: e = exp(max(-|z|, -745)), with 1/(1+e) in the category of the
+    sign of z and e/(1+e) in the other, so that at n = 2 (c = 0) the pair is
+    ``stable_softmax`` of the logits bit for bit.
 
     The sweep carries the cotangent gap gamma = g_0 - g_1: from the last
     step down, u = a_k d_0 d_1 gamma is the logits' share of category 0 (and
@@ -377,28 +388,36 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
     theta = logits.value
     gap_theta = theta[:, 0] - theta[:, 1]
     delta = x1[:, 0] - x1[:, 1]
-    z, work = np.empty_like(delta), np.empty_like(delta)
-    block = np.empty((len(step_z), 2) + delta.shape)   # (larger, smaller) d per step
-    for (t, s, c, a, b, eta_s), step, (big, small) in zip(schedule.transitions, step_z, block):
-        np.multiply(delta, c, out=z)
-        np.add(gap_theta, z, out=z)
-        np.abs(z, out=small)
-        np.negative(small, out=small)
-        np.maximum(small, _EXP_FLOOR, out=small)
-        np.exp(small, out=small)             # e
-        np.add(small, 1.0, out=big)          # 1 + e
-        np.divide(small, big, out=small)
-        np.divide(1.0, big, out=big)
-        np.subtract(big, small, out=work)
-        np.copysign(work, z, out=work)
-        np.multiply(work, a, out=work)
+    work = np.empty_like(delta)
+    block = np.empty((len(step_z), 2) + delta.shape)   # the (d_0, d_1) pair per step
+    *steps, (_, _, c_last, *_) = schedule.transitions
+    for (t, s, c, a, b, eta_s), step, (d0, d1) in zip(steps, step_z, block):
+        np.multiply(delta, -c, out=d1)
+        np.subtract(d1, gap_theta, out=d1)   # -z
+        np.minimum(d1, 709.0, out=d1)
+        np.exp(d1, out=d1)                   # e
+        np.add(d1, 1.0, out=d0)
+        np.divide(1.0, d0, out=d0)
+        np.multiply(d1, d0, out=d1)
+        np.multiply(d0, 2.0 * a, out=work)
+        np.subtract(work, a, out=work)
         np.multiply(delta, b, out=delta)
-        np.add(work, delta, out=delta)
+        np.add(delta, work, out=delta)
         if eta_s > 0.0:
             step = as_matrix(step)
             np.subtract(step[:, 0], step[:, 1], out=work)
             np.multiply(work, eta_s, out=work)
             np.add(delta, work, out=delta)
+    big, small = block[-1]
+    z = np.multiply(delta, c_last, out=delta)   # delta is spent; its array holds z
+    np.add(gap_theta, z, out=z)
+    np.abs(z, out=small)
+    np.negative(small, out=small)
+    np.maximum(small, _EXP_FLOOR, out=small)
+    np.exp(small, out=small)             # e
+    np.add(small, 1.0, out=big)          # 1 + e
+    np.divide(small, big, out=small)
+    np.divide(1.0, big, out=big)
     big_first = z >= 0.0
     final = np.empty(theta.shape)
     final[:, 0] = np.where(big_first, big, small)
@@ -411,10 +430,10 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
         for k in range(last, -1, -1):
             c, a, b = schedule.transitions[k][2:5]
             out = grad if k == last else u   # the last step's u starts the gradient
-            big, small = block[k]
+            d0, d1 = block[k]
             np.multiply(gap, a, out=out)
-            np.multiply(out, big, out=out)
-            np.multiply(out, small, out=out)
+            np.multiply(out, d0, out=out)
+            np.multiply(out, d1, out=out)
             if out is u:
                 np.add(grad, u, out=grad)
             if not k:

@@ -19,12 +19,12 @@ All kinds run one pipeline, :func:`estimate`:
 ========== ================================ ============ ================================
 kind       draw                             f evaluated  transport
 ========== ================================ ============ ================================
-st         Gumbel-max on the logits         hard sample  Cov(p) g
-reinmax    Gumbel-max on the logits         hard sample  :func:`reinmax_apply`
+st         inverse CDF on p                 hard sample  Cov(p) g
+reinmax    inverse CDF on p                 hard sample  :func:`reinmax_apply`
 gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the tempered
                                                          softmax of the same perturbation
-reinforce  Gumbel-max on the logits         hard sample  :func:`reinforce_apply`
-redge      chain, then Gumbel-max on the    hard sample  the chain node's closed-form
+reinforce  inverse CDF on p                 hard sample  :func:`reinforce_apply`
+redge      chain, then inverse CDF on the   hard sample  the chain node's closed-form
            last denoiser output                          reverse sweep, seeded with g
 redge-cov  as redge, from N(p, v), the      hard sample  as redge; through p and v
            moment-matched reference                      too with ``base_backprop``
@@ -38,8 +38,8 @@ given sample through :func:`estimate_for_sample` (the enumeration oracles
 call it); the formulas are plain array maps that accept leading
 (replication) axes, so ``analysis.bias_variance`` batches them too.
 
-Since the two streams are separate, under a shared integer seed the
-single-step chain reproduces the classical kinds exactly:
+Since the two streams are separate and the single-step chain's last denoiser
+is p bit for bit, a shared integer seed makes that chain reproduce exactly:
 
     n=2 redge-soft  ==  straight-through on the mean,
     n=2 redge       ==  hard straight-through,
@@ -213,8 +213,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     hard = None
     if kind != "redge-soft":
         # One hard draw, from the denoiser at the earliest positive timestep.
-        with np.errstate(divide="ignore"):
-            hard = sample_onehot_rows(np.log(d_last), cat_rng)
+        hard = sample_onehot_rows(d_last, cat_rng)
     value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
     tape.backward(traj.soft_sample, seed=gx)
     grad = grad_or_zero(logits)

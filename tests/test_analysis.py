@@ -17,11 +17,7 @@ from redge.analysis import (
     random_linear,
     transport_slice,
 )
-from redge.categorical import (
-    FactorizedCategorical,
-    gumbel_noise,
-    onehot_from_indices,
-)
+from redge.categorical import FactorizedCategorical, onehot_from_indices
 from redge.diffusion import Schedule, denoiser_jacobians, linear_schedule
 from redge.estimators import EstimatorConfig, estimate_for_sample, eval_objective
 from redge.tensor import finite_diff_gradient
@@ -273,12 +269,15 @@ class TestBiasVariance:
         rng = np.random.default_rng(13)
         dist = FactorizedCategorical(rng.normal(size=(2, 3)))
         f = random_cubic(rng, 2, 3)
-        noise = gumbel_noise((20, 2, 3), np.random.default_rng(14))
+        # replication r draws row i from the uniform u[r, i] by inverse CDF
+        u = np.random.default_rng(14).random((20, 2))
+        cdf = np.cumsum(dist.probs, axis=1)[:, :-1]
         for kind in ("st", "reinmax", "reinforce"):
             config = EstimatorConfig(kind=kind)
             grads = _batched_single_shot(config, dist, f, 20, np.random.default_rng(14))
             for r in range(20):
-                hard = onehot_from_indices(np.argmax(dist.logits + noise[r], axis=1), 3)
+                indices = [np.searchsorted(cdf[i], u[r, i], side="right") for i in range(2)]
+                hard = onehot_from_indices(indices, 3)
                 np.testing.assert_allclose(grads[r], estimate_for_sample(dist, f, config, hard).grad,
                                            rtol=1e-12, atol=1e-14)
 

@@ -11,7 +11,7 @@ from redge.categorical import (
     FactorizedCategorical,
     enumerate_onehots,
     exact_gradient,
-    gumbel_max,
+    inverse_cdf,
     joint_probability,
     onehot_from_indices,
     sample,
@@ -64,14 +64,51 @@ class TestSampling:
         b = [sample(dist, np.random.default_rng(42)).indices.tolist() for _ in range(5)]
         assert a == b
 
-    def test_stacked_gumbel_max_is_the_tiled_draw(self):
-        # Noise for `draws` stacked copies is the stream of one draw from the
-        # tiled weights, so the indices agree exactly.
-        w = np.random.default_rng(4).normal(size=(5, 3))
-        tiled = sample_onehot_rows(np.tile(w, (7, 1)), np.random.default_rng(8)).indices
-        stacked = gumbel_max(w, np.random.default_rng(8), (7,))
+    def test_stacked_inverse_cdf_is_the_tiled_draw(self):
+        # Uniforms for `draws` stacked copies are the stream of one draw from
+        # the tiled probabilities, so the indices agree exactly.
+        p = FactorizedCategorical(np.random.default_rng(4).normal(size=(5, 3))).probs
+        tiled = sample_onehot_rows(np.tile(p, (7, 1)), np.random.default_rng(8)).indices
+        stacked = inverse_cdf(p, np.random.default_rng(8), (7,))
         assert stacked.shape == (7, 5)
         np.testing.assert_array_equal(stacked.ravel(), tiled)
+
+    def test_zero_probability_category_is_never_drawn(self):
+        rows = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        indices = inverse_cdf(rows, np.random.default_rng(2), (20_000,))
+        assert set(indices[:, 0]) == {0, 2}
+        assert np.all(indices[:, 1] == 1)
+        binary = inverse_cdf(np.array([[0.0, 1.0], [1.0, 0.0]]), np.random.default_rng(3),
+                             (20_000,))
+        assert np.all(binary == [1, 0])
+
+    def test_index_stays_below_k_where_a_row_sums_below_one(self):
+        # A softmax row whose running sum rounds to 1 - 2^-53, drawn with
+        # the largest uniform: all K sums are <= u, yet only K-1 are
+        # compared, so the draw is the last category, not K.
+        class LargestUniform:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        row = np.array([[0.35465483324983066, 0.18690033847697232, 0.4584448282731969]])
+        assert row[0, 0] + row[0, 1] + row[0, 2] == np.nextafter(1.0, 0.0)
+        assert sample_onehot_rows(row, LargestUniform()).indices.tolist() == [2]
+        assert inverse_cdf(np.full((2, 3), 0.3), LargestUniform(), (4,)).max() == 2
+
+    def test_single_category(self):
+        hard = sample_onehot_rows(np.ones((4, 1)), np.random.default_rng(7))
+        np.testing.assert_array_equal(hard.indices, np.zeros(4, dtype=np.int64))
+        np.testing.assert_array_equal(hard.onehot, np.ones((4, 1)))
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite_entries(self, bad):
+        # log-weights passed by mistake fail instead of drawing from the wrong law
+        rows = np.array([[0.5, 0.5], [0.2, 0.8]])
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_onehot_rows(rows, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_onehot_rows(np.log([[0.5, 0.5]]), np.random.default_rng(0))
 
     def test_empirical_tv_bound(self):
         # TV(empirical, probs) <= 3 sqrt(K/N) per row at N = 1e5

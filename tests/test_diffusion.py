@@ -258,22 +258,40 @@ class TestStochasticStep:
         with pytest.raises(ValueError, match="needs its noise"):
             ddim_step(1 / 3, 2 / 3, d, d, sched)
 
-    def test_marginal_fidelity_desk_scale(self):
-        # Hard-sample law at the end of the half-noise chain stays within
-        # TV 0.05 of the target (MC band at 2e4 draws ~ 0.01).
+    @staticmethod
+    def _hard_law_tv(moment_matched: bool, eta: str = "half") -> float:
+        """TV between the target and the law of hard draws from the last
+        denoiser of the 32-step chain, at 2e4 draws of one binary row."""
         draws = 20_000
         rng = np.random.default_rng(10)
         logit_row = np.array([[1.2, 0.0]])
-        sched = linear_schedule(32, eta="half")
+        sched = linear_schedule(32, eta=eta)
         tape = Tape()
         leaf = tape.lift(np.tile(logit_row, (draws, 1)))
         noise = draw_noise(sched, draws, 2, rng)
-        traj = sample_trajectory(leaf, sched, noise)
-        with np.errstate(divide="ignore"):
-            hard = sample_onehot_rows(np.log(traj.final_denoiser), rng)
+        traj = sample_trajectory(leaf, sched, noise, leaf if moment_matched else None)
+        hard = sample_onehot_rows(traj.final_denoiser, rng)
         emp = np.bincount(hard.indices, minlength=2) / draws
         target = FactorizedCategorical(logit_row).probs[0]
-        assert 0.5 * np.abs(emp - target).sum() <= 0.05
+        return 0.5 * np.abs(emp - target).sum()
+
+    def test_marginal_fidelity_desk_scale(self):
+        # Hard-sample law at the end of the half-noise chain stays within
+        # TV 0.05 of the target (MC band at 2e4 draws ~ 0.01).
+        assert self._hard_law_tv(moment_matched=False) <= 0.05
+
+    def test_marginal_fidelity_desk_scale_moment_matched(self):
+        # The same bound for the deterministic redge-cov chain at K = 2,
+        # which reads the (gap, 0) noise of draw_noise through its
+        # moment-matched reference.
+        assert self._hard_law_tv(moment_matched=True, eta="zero") <= 0.05
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "under N(mu, V) a step with eta_s > 0 adds eta_s z with z ~ N(0, I); keeping "
+        "the marginal needs z ~ N((sigma_s - r) mu / eta_s, V), so the half-noise "
+        "moment-matched chain draws at TV 0.33 from the target"))
+    def test_marginal_fidelity_desk_scale_moment_matched_half_noise(self):
+        assert self._hard_law_tv(moment_matched=True) <= 0.05
 
 
 class TestTrajectory:
@@ -419,6 +437,47 @@ def test_draw_noise_deterministic():
             assert zb is None
         else:
             np.testing.assert_array_equal(za, zb)
+
+
+def test_binary_draws_are_gaps_stored_as_gap_zero():
+    sched = linear_schedule(4, eta="full")
+    noise = draw_noise(sched, 20_000, 2, np.random.default_rng(22))
+    for w in (noise.x1, *noise.step_z[:-1]):   # the last step is noise-free
+        assert w.shape == (20_000, 2) and np.all(w[:, 1] == 0.0)
+        assert abs(w[:, 0].var() - 2.0) < 0.1   # N(0, 2), the gap of two standard normals
+
+
+@pytest.mark.parametrize("eta", ["zero", "half", "full"])
+@pytest.mark.parametrize("reference", ["standard", "detach", "logits"])
+def test_binary_chains_read_noise_only_through_its_gap(reference, eta):
+    # Noise pairs (w_0, w_1) and their gaps (w_0 - w_1, 0) drive every K = 2
+    # chain the same way, which is what lets draw_noise store only the gap.
+    rng = np.random.default_rng(23)
+    sched = linear_schedule(8, eta=eta)
+    theta = 1.5 * rng.standard_normal((5, 2))
+    cotangent = rng.standard_normal((5, 2))
+    pairs = [rng.standard_normal((5, 2)) for _ in range(len(sched.transitions) + 1)]
+
+    def gap(w):
+        out = np.zeros_like(w)
+        out[:, 0] = w[:, 0] - w[:, 1]
+        return out
+
+    def run(draws):
+        x1, *zs = draws
+        step_z = tuple(z if eta_s > 0.0 else None
+                       for z, (*_, eta_s) in zip(zs, sched.transitions))
+        tape = Tape()
+        leaf = tape.lift(theta, requires_grad=True)
+        ref = {"standard": None, "detach": leaf.detach(), "logits": leaf}[reference]
+        traj = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1, step_z=step_z), ref)
+        tape.backward(traj.soft_sample, seed=cotangent)
+        return traj.soft_sample.value, leaf.grad
+
+    soft_pair, grad_pair = run(pairs)
+    soft_gap, grad_gap = run([gap(w) for w in pairs])
+    np.testing.assert_allclose(soft_gap, soft_pair, rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(grad_gap - grad_pair) <= 1e-12 * np.linalg.norm(cotangent)
 
 
 def test_empty_step_z_means_deterministic_steps():

@@ -142,6 +142,23 @@ def test_mc_hard_loss_is_unbiased_for_the_expected_penalty():
     assert np.all(gap < 4.0 * stderr), (gap, stderr)
 
 
+def test_mc_hard_loss_matches_the_per_category_loop():
+    # The loop the Monte-Carlo loss ran before it shared categorical.inverse_cdf.
+    batch = sudoku.SudokuBatch(sudoku.generate_puzzles(2, 4))
+    probs = stable_softmax(1.5 * np.random.default_rng(4).standard_normal(
+        (batch.total_free, sudoku.DIGITS)))
+    rng = np.random.default_rng(8)
+    u = rng.random((16, probs.shape[0]))
+    cdf = np.zeros(probs.shape[0])
+    digits = np.zeros(u.shape, dtype=np.int64)
+    for p_k in probs.T[:-1]:
+        cdf += p_k
+        digits += cdf <= u
+    want = batch.hard_penalties(digits).mean(axis=0)
+    got = runner._mc_hard_loss(batch, probs, 16, np.random.default_rng(8))
+    assert got.tobytes() == want.tobytes()
+
+
 class _DigitRecorder:
     """Stands in for a SudokuBatch and keeps the digits it is scored on."""
 
