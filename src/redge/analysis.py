@@ -380,7 +380,7 @@ def _batched_single_shot(config, dist, f, replications, rng):
     """Vectorized replications for the single-draw estimators: an (R, L, K)
     stack of inverse-CDF draws pushed through the estimators' own formulas."""
     p = dist.probs
-    onehots = np.eye(dist.categories)[inverse_cdf(p, rng, (replications,))]
+    onehots = np.take(np.eye(dist.categories), inverse_cdf(p, rng, (replications,)), axis=0)
     if config.kind == "reinforce":
         return reinforce_apply(p, onehots, f.value_batch(onehots), config.baseline)
     gx = f.grad_batch(onehots)
