@@ -18,27 +18,28 @@ sampler.  For the covariance-corrected estimator the reference at t=1 is the
 moment-matched diagonal Gaussian of a categorical: with p the row softmax of
 a reference logits node, N(p, diag(v)) with v = max(p(1-p),
 path_variance_floor(K)).  Its denoiser gains a per-coordinate precision
-weighting 1/v.
+weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
 
-:func:`sample_trajectory` runs the chain on arrays and enters the tape as one
-node whose VJP is the closed-form reverse sweep, so trajectories are
-differentiable with respect to the logits, and with respect to the reference
-moments exactly as far as gradients flow into the reference node (the logits
-themselves, their ``detach()`` or a constant).  It picks one of two chains
-from its input:
+:func:`sample_trajectory` picks one of three implementations from its input:
 
 - K = 2 under the standard reference runs on the per-row gap
   delta = x_0 - x_1.  The denoiser softmax(theta + c_t x) of a binary row
   depends on x only through theta_0 - theta_1 + c_t delta, and its covariance
   is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on (L,)
   arrays with one exp per row and step.
-- Every other input runs category-major, on (K, L) transposes: the n-1
-  denoiser outputs fill one (n-1, K, L) block, and the state and the sweep's
-  cotangent are updated in place.
+- Any other K under the standard reference runs category-major, on (K, L)
+  transposes: the n-1 denoiser outputs fill one (n-1, K, L) block, and the
+  state and the sweep's cotangent are updated in place.
+- A reference node runs :func:`composite_trajectory` on the caller's tape,
+  so gradients reach the reference moments exactly as far as they flow into
+  the reference node (the logits themselves, their ``detach()`` or a
+  constant).
 
-Both keep only the starting state.  The denoisers and :func:`ddim_step` are
-also built from tape nodes; composed by :func:`composite_trajectory`, which
-keeps every state, they are the oracle for both chains.
+The first two run on arrays, keep only the starting state and enter the tape
+as one node whose VJP is the closed-form reverse sweep.  The denoisers and
+:func:`ddim_step` are also built from tape nodes; composed by
+:func:`composite_trajectory`, which keeps every state, they are the oracle
+for both one-node chains.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (_EXP_FLOOR, Node, Tape, as_matrix, covariance_apply,
-                     covariance_apply_by_category, softmax_by_category, softmax_rows,
-                     stable_softmax)
+from .tensor import (_EXP_FLOOR, Node, Tape, as_matrix, covariance_apply_by_category,
+                     softmax_by_category, softmax_rows, stable_softmax)
 
 # Lower clamp of :func:`path_variance_floor`; it binds only above about
 # 900,000 categories.
@@ -266,7 +266,8 @@ class TrajectoryNoise:
     """Frozen noise draws for one trajectory: the terminal draw plus per-step z.
 
     ``x1`` is the standard-normal draw; under a moment-matched reference it is
-    transformed to mu + sqrt(v) * x1 inside the trajectory.  ``step_z`` holds
+    transformed to mu + sqrt(v) * x1 inside the trajectory, and each step's z
+    is scaled by sqrt(v) (see :func:`composite_trajectory`).  ``step_z`` holds
     one entry per transition, None where the step is deterministic; left
     empty, every step is deterministic.  Draws have the logits' (L, K) shape;
     at K = 2 :func:`draw_noise` stores each as (gap, 0), see there.
@@ -303,7 +304,7 @@ class Trajectory:
     returns every state when a check needs them.
     """
 
-    states: list                 # [(1.0, x1)]: only the starting state
+    x1: np.ndarray               # the starting state at t = 1
     soft_sample: Node            # final state, a relaxed sample on the simplex
     final_denoiser: np.ndarray   # denoiser output at the earliest positive timestep
 
@@ -334,16 +335,10 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     p + sqrt(v) * x1.  The moments carry gradients exactly as that node does:
     pass ``logits`` to differentiate through them, ``logits.detach()`` or a
     constant to freeze them; any other node that requires grad is rejected.
+    The soft sample, the final denoiser and the logits' gradient come back
+    as C-ordered (L, K) arrays.
 
-    The chain runs on arrays and enters the tape as one node of ``logits``.
-    Its VJP is the closed-form reverse sweep over the stored denoiser outputs
-    d_k: for a cotangent g on the state after step k, u = Cov(d_k)(a_k g) is
-    the logits' share and b_k g + c_k w u the cotangent on the state before,
-    with w = 1 for the standard reference and w = 1/v otherwise.  The soft
-    sample, the final denoiser and the logits' gradient come back as
-    C-ordered (L, K) arrays.
-
-    The chain is chosen from the input, K and ``reference``:
+    The implementation is chosen from the input, K and ``reference``:
 
     - K = 2 with the standard reference: the gap chain (:func:`_gap_chain`).
       At n = 2 its soft sample and final denoiser are ``stable_softmax`` of
@@ -351,14 +346,25 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
       agree with :func:`composite_trajectory` to about 1e-15 relative.  Its
       gradient agrees to about 1e-12 times the cotangent's norm
       (``gradcheck.check_gap_chain``).
-    - Otherwise: the category-major chain (:func:`_category_chain`), which
-      equals the tape gradient of :func:`composite_trajectory` bit for bit
-      for the standard reference and to 1e-12 relative through the moments
-      (``gradcheck.check_fused_chain``).
+    - Any other K with the standard reference: the category-major chain
+      (:func:`_category_chain`).  It runs on arrays and enters the tape as
+      one node of ``logits`` whose VJP is the closed-form reverse sweep over
+      the stored denoiser outputs d_k: for a cotangent g on the state after
+      step k, u = Cov(d_k)(a_k g) is the logits' share and b_k g + c_k u the
+      cotangent on the state before.  It equals the tape gradient of
+      :func:`composite_trajectory` bit for bit at eta zero and to 1e-12
+      relative otherwise (``gradcheck.check_fused_chain``).
+    - Any reference node: :func:`composite_trajectory` itself, on the
+      caller's tape, so gradients reach the moments through its nodes.
     """
-    if reference is None and logits.shape[1] == 2:
-        return _gap_chain(logits, schedule, noise)
-    return _category_chain(logits, schedule, noise, reference)
+    if reference is None:
+        if logits.shape[1] == 2:
+            return _gap_chain(logits, schedule, noise)
+        return _category_chain(logits, schedule, noise)
+    if reference is not logits and reference.requires_grad:
+        raise ValueError("reference must be the logits node itself or carry no gradient")
+    states, d = composite_trajectory(logits, schedule, noise, reference)
+    return Trajectory(x1=states[0][1].value, soft_sample=states[-1][1], final_denoiser=d.value)
 
 
 def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
@@ -446,13 +452,12 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
         np.negative(grad, out=both[:, 1])
         return both
 
-    return Trajectory(states=[(1.0, x1)], soft_sample=logits.apply(final.copy(), vjp),
+    return Trajectory(x1=x1, soft_sample=logits.apply(final.copy(), vjp),
                       final_denoiser=final)
 
 
-def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
-                    reference: Optional[Node] = None) -> Trajectory:
-    """:func:`sample_trajectory` for any K and reference, category-major.
+def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
+    """:func:`sample_trajectory` under the standard reference, category-major.
 
     The chain and its sweep work on (K, L) transposes, so each row's max,
     total and broadcast is one contiguous op over L
@@ -463,35 +468,15 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     so the results are bit-identical to them.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
-    if reference is not None and reference is not logits and reference.requires_grad:
-        raise ValueError("reference must be the logits node itself or carry no gradient")
-    eps = as_matrix(noise.x1)
-    x1 = eps
-    if reference is not None:
-        mu = stable_softmax(reference.value)
-        floor = path_variance_floor(mu.shape[1])
-        v = np.maximum(mu * (1.0 - mu), floor)
-        lam, root = np.power(v, -1.0), np.sqrt(v)
-        x1 = mu + root * eps
-    through_moments = reference is logits
+    x1 = as_matrix(noise.x1)
     transitions = schedule.transitions
     theta = logits.value.T.copy()
     x = x1.T.copy()
     work = np.empty_like(x)
     col = np.empty(x.shape[1])
     block = np.empty((len(step_z),) + x.shape)   # d_k, category-major
-    shifts = np.empty_like(block) if through_moments else None
-    for k, ((t, s, c, a, b, eta_s), z) in enumerate(zip(transitions, step_z)):
-        d = block[k]
-        if reference is None:
-            np.multiply(x, c, out=d)
-        else:
-            shift = shifts[k] if through_moments else work
-            np.multiply(mu.T, schedule.sigma(t), out=shift)
-            np.subtract(x, shift, out=shift)
-            np.subtract(shift, schedule.alpha(t) / 2.0, out=shift)
-            np.multiply(lam.T, shift, out=d)
-            np.multiply(d, c, out=d)
+    for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
+        np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
         softmax_by_category(d, col)
         np.multiply(x, b, out=x)
@@ -506,47 +491,35 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         cot = g.T.copy()   # the cotangent on the current state
         tmp, u, grad = (np.empty_like(cot) for _ in range(3))
         col = np.empty(cot.shape[1])
-        if through_moments:
-            g_lam, g_mu = np.zeros_like(cot), np.zeros_like(cot)
         for k in range(last, -1, -1):
-            t, s, c, a, b, eta_s = transitions[k]
+            c, a, b = transitions[k][2:5]
             np.multiply(cot, a, out=tmp)
             out = grad if k == last else u   # the last step's u starts the gradient
             covariance_apply_by_category(block[k], tmp, out, col)
             if out is u:
                 np.add(grad, u, out=grad)
-            if not (k or through_moments):
+            if not k:
                 break   # the first state carries no gradient
-            if reference is None:
-                np.multiply(cot, b, out=cot)
-                np.multiply(out, c, out=tmp)
-                np.add(cot, tmp, out=cot)
-            else:
-                h = np.multiply(out, c, out=tmp)
-                np.multiply(cot, b, out=cot)
-                np.multiply(h, lam.T, out=u)
-                np.add(cot, u, out=cot)
-                if through_moments:
-                    np.add(g_lam, np.multiply(h, shifts[k], out=h), out=g_lam)
-                    np.subtract(g_mu, np.multiply(u, schedule.sigma(t), out=u), out=g_mu)
-        if not through_moments:
-            return grad.T.copy()
-        # back through x1 = mu + sqrt(v) eps, lam = 1/v, v = clamp(p(1-p))
-        # and p = softmax(logits), on the (L, K) transposes
-        g = cot.T
-        g_v = g * eps / (2.0 * root) - g_lam.T * lam * lam
-        g_v = g_v * (mu * (1.0 - mu) > floor)
-        g_mu = g_mu.T + g + g_v * (1.0 - 2.0 * mu)
-        return np.ascontiguousarray(grad.T + covariance_apply(mu, g_mu))
+            np.multiply(cot, b, out=cot)
+            np.multiply(out, c, out=tmp)
+            np.add(cot, tmp, out=cot)
+        return grad.T.copy()
 
-    return Trajectory(states=[(1.0, x1)], soft_sample=logits.apply(x.T.copy(), vjp),
+    return Trajectory(x1=x1, soft_sample=logits.apply(x.T.copy(), vjp),
                       final_denoiser=block[-1].T.copy())
 
 
 def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
                          reference: Optional[Node] = None):
-    """The oracle for :func:`sample_trajectory`: the same chain composed on the
-    tape from :func:`denoiser` (or :func:`denoiser_cov`) and :func:`ddim_step`.
+    """The chain composed on the tape from :func:`denoiser` (or
+    :func:`denoiser_cov`) and :func:`ddim_step`: the oracle of the standard
+    reference's one-node chains, and :func:`sample_trajectory` itself under
+    a reference node.
+
+    Under the reference N(mu, V) a step with eta_s > 0 adds
+    (sigma_s - r) mu + eta_s sqrt(v) z, with r = b sigma_t, in place of
+    eta_s z: the fresh noise is drawn from the reference, not N(0, I), so
+    x_s keeps the law of alpha_s x0 + sigma_s x1.
 
     Returns the states [(t, Node)] and the final denoiser node; gradients
     flow into ``reference`` as its node allows.
@@ -558,14 +531,19 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     else:
         mu = softmax_rows(reference)
         v = (mu * (1.0 - mu)).clamp_min(path_variance_floor(mu.shape[1]))
-        x = mu + v.sqrt() * tape.constant(noise.x1)
+        root = v.sqrt()
+        x = mu + root * tape.constant(noise.x1)
     states = [(1.0, x)]
     d = None
-    for (t, s, *_), z in zip(schedule.transitions, step_z):
+    for (t, s, c, a, b, eta_s), z in zip(schedule.transitions, step_z):
         if reference is None:
             d = denoiser(logits, x, t, schedule)
+            x = ddim_step(s, t, x, d, schedule, z)
         else:
             d = denoiser_cov(logits, x, t, schedule, mu, v)
-        x = ddim_step(s, t, x, d, schedule, z)
+            x = d * a + x * b
+            if eta_s > 0.0:
+                r = b * schedule.sigma(t)
+                x = x + mu * (schedule.sigma(s) - r) + root * tape.constant(eta_s * as_matrix(z))
         states.append((s, x))
     return states, d

@@ -26,8 +26,9 @@ gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the t
 reinforce  inverse CDF on p                 hard sample  :func:`reinforce_apply`
 redge      chain, then inverse CDF on the   hard sample  the chain node's closed-form
            last denoiser output                          reverse sweep, seeded with g
-redge-cov  as redge, from N(p, v), the      hard sample  as redge; through p and v
-           moment-matched reference                      too with ``base_backprop``
+redge-cov  as redge, from N(p, v), the      hard sample  the tape sweep of the composite
+           moment-matched reference                      chain, seeded with g; through p
+                                                         and v too with ``base_backprop``
 redge-max  as redge                         hard sample  as redge, then the last-step
                                                          block becomes ReinMax
 redge-soft the chain's soft sample          soft sample  as redge
@@ -200,7 +201,8 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     if kind not in _DIFFUSION_KINDS:
         return estimate_for_sample(dist, f, config, sample(dist, cat_rng))
 
-    # The chain is one tape node whose closed-form sweep carries grad f back.
+    # The chain's tape sweep carries grad f back: one node with a closed-form
+    # sweep under the standard reference, the composite chain under redge-cov's.
     schedule = config.schedule()
     tape = Tape()
     logits = tape.lift(dist.logits, requires_grad=True)

@@ -279,26 +279,24 @@ def check_reference_moments(seed: int) -> CheckResult:
     noise = diffusion.draw_noise(schedule, 3, 4, rng)
     tape = Tape()
     logits = tape.constant(dist.logits)
-    got = diffusion.sample_trajectory(logits, schedule, noise, logits).states[0][1]
+    got = diffusion.sample_trajectory(logits, schedule, noise, logits).x1
     p = dist.probs
     v = np.maximum(p * (1 - p) ** 2 + (1 - p) * p**2, diffusion.path_variance_floor(4))
     want = p + np.sqrt(v) * noise.x1
     return _compare(f"reference_moments[seed={seed}]", got, want, 1e-12, relative=False)
 
 
-def _chain_outputs(chain, theta, schedule, noise, reference: str, cotangent):
-    """Soft sample, final denoiser and logits gradient under ``cotangent``;
-    ``chain`` is a one-node chain of ``diffusion`` or its
-    ``composite_trajectory``."""
+def _chain_outputs(chain, theta, schedule, noise, cotangent):
+    """Soft sample, final denoiser and logits gradient under ``cotangent``
+    and the standard reference; ``chain`` is a one-node chain of
+    ``diffusion`` or its ``composite_trajectory``."""
     tape = Tape()
     logits = tape.lift(theta, requires_grad=True)
-    ref = {"standard": None, "logits": logits, "detach": logits.detach(),
-           "constant": tape.constant(theta)}[reference]
     if chain is diffusion.composite_trajectory:
-        states, d_node = chain(logits, schedule, noise, ref)
+        states, d_node = chain(logits, schedule, noise)
         soft, d_last = states[-1][1], d_node.value
     else:
-        traj = chain(logits, schedule, noise, ref)
+        traj = chain(logits, schedule, noise)
         soft, d_last = traj.soft_sample, traj.final_denoiser
     tape.backward(soft, seed=cotangent)
     return soft.value, d_last, grad_or_zero(logits)
@@ -306,37 +304,36 @@ def _chain_outputs(chain, theta, schedule, noise, reference: str, cotangent):
 
 def check_fused_chain(seed: int) -> list:
     """The category-major chain of ``sample_trajectory`` against its
-    composite oracle, per reference, noise level and side of the K <= 16
-    reduction rule, over K in {2, 3, 16} and {17, 20}, n in {2, 4, 16}, and
-    two rows (one row on odd seeds): bit for bit for the deterministic
-    standard chain, else to 1e-12 relative (the worst quantity is reported).
-    It calls that chain directly, so K = 2 under the standard reference is
-    checked here too, though ``sample_trajectory`` runs the gap chain there
-    (see :func:`check_gap_chain`)."""
+    composite oracle under the standard reference, per noise level and side
+    of the K <= 16 reduction rule, over K in {2, 3, 16} and {17, 20}, n in
+    {2, 4, 16}, and two rows (one row on odd seeds): bit for bit for the
+    deterministic chain, else to 1e-12 relative (the worst quantity is
+    reported).  It calls that chain directly, so K = 2 is checked here too,
+    though ``sample_trajectory`` runs the gap chain there (see
+    :func:`check_gap_chain`).  Under a reference node ``sample_trajectory``
+    runs the composite chain itself, so there is no fused form to check."""
     rng = np.random.default_rng(seed)
     length = 1 if seed % 2 else 2
     results = []
-    for reference in ("standard", "logits", "detach", "constant"):
-        for eta in ("zero", "half", "full"):
-            tol = 0.0 if (reference, eta) == ("standard", "zero") else 1e-12
-            for ks in ((2, 3, 16), (17, 20)):
-                worst = None
-                for k in ks:
-                    for n in (2, 4, 16):
-                        theta = 1.5 * rng.standard_normal((length, k))
-                        schedule = diffusion.linear_schedule(n, eta=eta)
-                        noise = diffusion.draw_noise(schedule, length, k, rng)
-                        cotangent = rng.standard_normal((length, k))
-                        got, want = (_chain_outputs(chain, theta, schedule, noise, reference,
-                                                    cotangent)
-                                     for chain in (diffusion._category_chain,
-                                                   diffusion.composite_trajectory))
-                        for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
-                            r = _compare(f"fused_chain_{what}[{reference},eta={eta},L={length},"
-                                         f"K={k},n={n},seed={seed}]", a, b, tol)
-                            if worst is None or not r.error <= worst.error:
-                                worst = r
-                results.append(worst)
+    for eta in ("zero", "half", "full"):
+        tol = 0.0 if eta == "zero" else 1e-12
+        for ks in ((2, 3, 16), (17, 20)):
+            worst = None
+            for k in ks:
+                for n in (2, 4, 16):
+                    theta = 1.5 * rng.standard_normal((length, k))
+                    schedule = diffusion.linear_schedule(n, eta=eta)
+                    noise = diffusion.draw_noise(schedule, length, k, rng)
+                    cotangent = rng.standard_normal((length, k))
+                    got, want = (_chain_outputs(chain, theta, schedule, noise, cotangent)
+                                 for chain in (diffusion._category_chain,
+                                               diffusion.composite_trajectory))
+                    for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
+                        r = _compare(f"fused_chain_{what}[eta={eta},L={length},"
+                                     f"K={k},n={n},seed={seed}]", a, b, tol)
+                        if worst is None or not r.error <= worst.error:
+                            worst = r
+            results.append(worst)
     return results
 
 
@@ -367,7 +364,7 @@ def check_gap_chain(seed: int) -> list:
             noise = diffusion.draw_noise(schedule, length, 2, rng)
             cotangent = rng.standard_normal((length, 2))
             with np.errstate(over="raise", invalid="raise"):
-                got, want = (_chain_outputs(chain, theta, schedule, noise, "standard", cotangent)
+                got, want = (_chain_outputs(chain, theta, schedule, noise, cotangent)
                              for chain in (diffusion.sample_trajectory,
                                            diffusion.composite_trajectory))
             tag = f",gaps=+-{gap:g}" if gap else ""

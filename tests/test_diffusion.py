@@ -152,7 +152,7 @@ def reference_moments(logits):
 
     def first_state(x1):
         noise = TrajectoryNoise(x1=np.full(logits.shape, x1), step_z=(None,))
-        return sample_trajectory(node, linear_schedule(2), noise, node).states[0][1]
+        return sample_trajectory(node, linear_schedule(2), noise, node).x1
 
     mu = first_state(0.0)
     return mu, (first_state(1.0) - mu) ** 2
@@ -286,11 +286,8 @@ class TestStochasticStep:
         # moment-matched reference.
         assert self._hard_law_tv(moment_matched=True, eta="zero") <= 0.05
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "under N(mu, V) a step with eta_s > 0 adds eta_s z with z ~ N(0, I); keeping "
-        "the marginal needs z ~ N((sigma_s - r) mu / eta_s, V), so the half-noise "
-        "moment-matched chain draws at TV 0.33 from the target"))
     def test_marginal_fidelity_desk_scale_moment_matched_half_noise(self):
+        # Noisy steps draw their fresh noise from the reference N(mu, V).
         assert self._hard_law_tv(moment_matched=True) <= 0.05
 
 
@@ -336,7 +333,7 @@ class TestTrajectory:
         noise_p = TrajectoryNoise(x1=noise.x1[:, perm], step_z=noise.step_z)
         traj, traj_p = (sample_trajectory(Tape().lift(theta), sched, z)
                         for theta, z in ((logits, noise), (logits[:, perm], noise_p)))
-        pairs = [(traj.states[0][1], traj_p.states[0][1]),
+        pairs = [(traj.x1, traj_p.x1),
                  (traj.soft_sample.value, traj_p.soft_sample.value),
                  (traj.final_denoiser, traj_p.final_denoiser)]
         # the fused chain keeps only x1; every state comes from the oracle
@@ -370,9 +367,7 @@ class TestTrajectory:
         tape = Tape()
         node = tape.lift(logits)
         traj = sample_trajectory(node, sched, noise, node)
-        assert [t for t, _ in traj.states] == [1.0]   # only the starting state is kept
-        x1 = traj.states[0][1]
-        np.testing.assert_allclose(x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
+        np.testing.assert_allclose(traj.x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
 
 
 class TestClosedFormJacobians:
@@ -478,6 +473,43 @@ def test_binary_chains_read_noise_only_through_its_gap(reference, eta):
     soft_gap, grad_gap = run([gap(w) for w in pairs])
     np.testing.assert_allclose(soft_gap, soft_pair, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(grad_gap - grad_pair) <= 1e-12 * np.linalg.norm(cotangent)
+
+
+@pytest.mark.parametrize("categories", [2, 3, 17])
+def test_standard_chain_is_one_tape_node(categories):
+    # K = 2 runs the gap chain, K = 3 and 17 the category-major chain.
+    sched = linear_schedule(4, eta="half")
+    tape = Tape()
+    leaf = tape.lift(np.zeros((2, categories)), requires_grad=True)
+    before = len(tape.nodes)
+    sample_trajectory(leaf, sched, draw_noise(sched, 2, categories, np.random.default_rng(3)))
+    assert len(tape.nodes) - before == 1
+
+
+@pytest.mark.parametrize("reference", ["logits", "detach", "constant"])
+def test_reference_chain_is_the_composite_chain(reference):
+    rng = np.random.default_rng(4)
+    sched = linear_schedule(4, eta="half")
+    for categories in (2, 3):
+        theta = 1.5 * rng.standard_normal((2, categories))
+        noise = draw_noise(sched, 2, categories, rng)
+        cotangent = rng.standard_normal((2, categories))
+        outputs = []
+        for chain in (sample_trajectory, composite_trajectory):
+            tape = Tape()
+            leaf = tape.lift(theta, requires_grad=True)
+            ref = {"logits": leaf, "detach": leaf.detach(),
+                   "constant": tape.constant(theta)}[reference]
+            if chain is sample_trajectory:
+                traj = chain(leaf, sched, noise, ref)
+                soft, d_last = traj.soft_sample, traj.final_denoiser
+            else:
+                states, d_node = chain(leaf, sched, noise, ref)
+                soft, d_last = states[-1][1], d_node.value
+            tape.backward(soft, seed=cotangent)
+            outputs.append((soft.value, d_last, leaf.grad))
+        for got, want in zip(*outputs):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_empty_step_z_means_deterministic_steps():
