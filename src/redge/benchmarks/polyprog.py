@@ -47,15 +47,26 @@ class PolyProgProblem:
 
 
 def polyprog_loss(x: Node, problem: PolyProgProblem) -> Node:
-    """Mean per-row loss of an Lx2 (soft or hard) sample."""
-    rows = x.shape[0]
+    """Mean per-row loss of an Lx2 (soft or hard) sample, as one closed-form
+    node: |x_2 - c|^p per row, or the linear x . (c^p, (1-c)^p)."""
+    if x.shape[1] != 2:
+        raise ValueError(f"polyprog_loss expects L x 2 rows, got {x.shape}")
+    scale = 1.0 / x.shape[0]
     if problem.relaxation == "power":
-        col2 = x @ np.array([[0.0], [1.0]])
-        per_row = (col2 - problem.target).abs().pow(problem.exponent)
+        p, gap = problem.exponent, x.value[:, 1:] - problem.target
+        per_row = np.power(np.abs(gap), p)
+
+        def vjp(g):
+            slope = g[0, 0] * scale * p * np.power(np.abs(gap), p - 1.0) * np.sign(gap)
+            return np.hstack([np.zeros_like(slope), slope])
     else:
-        v1, v2 = problem.vertex_values()
-        per_row = x @ np.array([[v1], [v2]])
-    return per_row.sum() * (1.0 / rows)
+        weights = np.array([problem.vertex_values()])
+        per_row = x.value @ weights.T
+
+        def vjp(g):
+            return np.repeat(g[0, 0] * scale * weights, x.shape[0], axis=0)
+
+    return x.apply(np.array([[per_row.sum() * scale]]), vjp)
 
 
 def exact_polyprog_loss(probs, problem: PolyProgProblem) -> float:

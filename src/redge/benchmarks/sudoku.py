@@ -9,9 +9,10 @@ a valid completion is all ones, so the penalty
 is zero exactly on valid grids.  Clue cells are frozen one-hot constants and
 never optimized; only the free cells carry logits.
 
-Group sums and their adjoint work over leading axes, so the free cells of
-many puzzles stack into one logit matrix that the batched runner optimizes in
-one pass; :meth:`SudokuBatch.objective` is one closed-form node over them.
+The free cells of many puzzles stack into one logit matrix that the batched
+runner optimizes in one pass.  :class:`SudokuBatch` keys each free cell by its
+row, column and box; its objective (one closed-form node) and hard penalties
+count digits over those keys, so no step assembles grids or group sums.
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ DIGITS = 9
 _CELL_CHARS = frozenset(".0123456789")
 
 
-def _group_indices():
-    rows = [list(range(9 * r, 9 * r + 9)) for r in range(9)]
-    cols = [list(range(c, 81, 9)) for c in range(9)]
-    blocks = []
-    for br in range(3):
-        for bc in range(3):
-            blocks.append([9 * (3 * br + dr) + (3 * bc + dc)
-                           for dr in range(3) for dc in range(3)])
-    return rows + cols + blocks
-
-
-GROUPS = _group_indices()
+_CELLS = range(GRID_CELLS)
+# each cell's row, column and block group, kind-major; plain lists, so that
+# importing the module calls no numpy routine (its first call adds RSS)
+_CELL_GROUPS = ([c // 9 for c in _CELLS], [9 + c % 9 for c in _CELLS],
+                [18 + 3 * (c // 27) + c % 9 // 3 for c in _CELLS])
+GROUPS = [[c for c in _CELLS if _CELL_GROUPS[g // 9][c] == g] for g in range(27)]
 _GROUP_NAMES = [f"{kind} {i + 1}" for kind in ("row", "column", "block") for i in range(9)]
 
 
@@ -55,18 +50,6 @@ def group_sums(grids: np.ndarray) -> np.ndarray:
                .sum(axis=(-4, -2))
                .reshape(lead + (9, 9)))
     return np.concatenate([row_g, col_g, block_g], axis=-2)
-
-
-def group_sums_adjoint(g: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`group_sums`: scatter group cotangents back to cells."""
-    lead = g.shape[:-2]
-    row_g, col_g, block_g = g[..., 0:9, :], g[..., 9:18, :], g[..., 18:27, :]
-    out = np.zeros(lead + (9, 9, 9))
-    out += row_g[..., :, None, :]
-    out += col_g[..., None, :, :]
-    out += (block_g.reshape(lead + (3, 3, 9))[..., :, None, :, None, :]
-            * np.ones(lead + (3, 3, 3, 3, 9))).reshape(lead + (9, 9, 9))
-    return out.reshape(lead + (81, 9))
 
 
 def penalty_batch(grids: np.ndarray) -> np.ndarray:
@@ -140,10 +123,7 @@ def load_puzzle_file(path):
 def _complete_grid(rng: np.random.Generator) -> np.ndarray:
     """Random full valid grid via backtracking with shuffled digit order."""
     grid = np.zeros(GRID_CELLS, dtype=np.int64)
-    cell_groups = [[] for _ in range(GRID_CELLS)]
-    for gi, group in enumerate(GROUPS):
-        for cell in group:
-            cell_groups[cell].append(gi)
+    cell_groups = list(zip(*_CELL_GROUPS))
     used = [set() for _ in range(27)]
 
     def fill(cell: int) -> bool:
@@ -192,6 +172,7 @@ class SudokuBatch:
 
     The objective sums the penalty of the grids assembled from the free and
     clue rows; its VJP returns only the free rows, so clue cells get none.
+    It and :meth:`hard_penalties` count digits over one key set, ``free_keys``.
     """
 
     def __init__(self, problems):
@@ -202,33 +183,42 @@ class SudokuBatch:
             p.free_cells + GRID_CELLS * i for i, p in enumerate(self.problems)
         ])
         self.clue_matrix = np.concatenate([p.clue_onehot for p in self.problems], axis=0)
-        # Digit counts of the clues per (puzzle, group, digit); and the flat
-        # (puzzle, group, 0) key of each stacked free cell's row, column and
-        # box, as a C-ordered (3, F) array (np.take keeps that order) so that
-        # the keys of one draw are three contiguous runs over F.
-        self.clue_counts = group_sums(
-            self.clue_matrix.reshape(self.count, GRID_CELLS, DIGITS)).astype(np.int64)
-        cell_groups = np.zeros((3, GRID_CELLS), dtype=np.int64)
-        for g, cells in enumerate(GROUPS):
-            cell_groups[g // 9, cells] = g
+        # The flat (puzzle, group, 0) key of each stacked free cell's row,
+        # column and box, as a C-ordered (3, F) array (np.take keeps that
+        # order) so that the keys of one draw are three contiguous runs over
+        # F; those keys plus each digit, kept for the objective's count; and
+        # the clue digit counts minus one, the offset from counts to excess.
         puzzle, cell = np.divmod(self.scatter_index, GRID_CELLS)
-        self.free_keys = (puzzle * 27 + np.take(cell_groups, cell, axis=1)) * DIGITS
+        self.free_keys = (puzzle * 27 + np.take(_CELL_GROUPS, cell, axis=1)) * DIGITS
+        self.cell_keys = (self.free_keys[:, :, None] + np.arange(DIGITS)).ravel()
+        self.clue_excess = group_sums(
+            self.clue_matrix.reshape(self.count, GRID_CELLS, DIGITS)).astype(np.int64) - 1
 
     @property
     def count(self) -> int:
         return len(self.problems)
 
     def objective(self, x: Node) -> Node:
-        """One node: sum of excess^2, excess = group sums of the grids - 1; the
-        VJP is the free rows of the group-sum adjoint of 2 g excess."""
-        excess = group_sums(self.grids_from_free(x.value)) - 1.0
-        value = np.array([[np.power(excess, 2.0).sum()]])
+        """One node: sum of excess^2, excess = digit counts per (puzzle,
+        group) - 1; the VJP is :meth:`gather_free` of 2 g excess."""
+        if x.shape != (self.total_free, DIGITS):
+            raise ValueError(f"objective expects ({self.total_free}, {DIGITS}) free-cell rows, "
+                             f"got {x.shape}")
+        excess = self.scatter_free(x.value) + self.clue_excess.reshape(-1, DIGITS)
+        value = np.array([[np.square(excess).sum()]])
+        return x.apply(value, lambda g: self.gather_free(g[0, 0] * 2.0 * excess))
 
-        def vjp(g):
-            cells = group_sums_adjoint(g[0, 0] * 2.0 * excess)
-            return cells.reshape(-1, DIGITS)[self.scatter_index]
+    def scatter_free(self, free_rows: np.ndarray) -> np.ndarray:
+        """Digit counts (P * 27, 9) of the free rows (F, 9) per (puzzle,
+        group): one weighted count over the cells' row, column and box keys."""
+        weights = np.broadcast_to(free_rows, (3,) + free_rows.shape).ravel()
+        counts = np.bincount(self.cell_keys, weights, minlength=self.clue_excess.size)
+        return counts.reshape(-1, DIGITS)
 
-        return x.apply(value, vjp)
+    def gather_free(self, groups: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`scatter_free`: row + column + box entries of
+        ``groups`` (P * 27, 9) at each free cell, as (F, 9)."""
+        return np.take(groups, self.free_keys // DIGITS, axis=0).sum(axis=0)
 
     def grids_from_free(self, free_rows: np.ndarray) -> np.ndarray:
         """Assemble (..., P, 81, 9) grids from stacked free rows (..., F, 9)."""
@@ -238,17 +228,15 @@ class SudokuBatch:
         return out.reshape(lead + (self.count, GRID_CELLS, DIGITS))
 
     def hard_penalties(self, digits: np.ndarray) -> np.ndarray:
-        """Penalty of the hard completions with free-cell digits (D, F), as
-        (D, P): equal to ``penalty_batch`` of their one-hot grids, from one
-        count of (draw, puzzle, group, digit)."""
-        draws = digits.shape[0]
-        block = self.count * 27 * DIGITS
-        keys = digits[:, None, :] + self.free_keys
-        keys += block * np.arange(draws)[:, None, None]
-        counts = np.bincount(keys.ravel(), minlength=draws * block)
-        counts = counts.reshape(draws, self.count, 27, DIGITS)
-        counts += self.clue_counts - 1
-        return np.square(counts, out=counts).sum(axis=(-2, -1))
+        """Penalty (D, P) of the hard completions with free-cell digits (D, F),
+        equal to ``penalty_batch`` of their one-hot grids; counting draw by
+        draw keeps every array small, so steps do not grow and trim the heap."""
+        out = np.empty((digits.shape[0], self.count), dtype=np.int64)
+        for draw, row in enumerate(digits):
+            counts = np.bincount((row + self.free_keys).ravel(), minlength=self.clue_excess.size)
+            counts = counts.reshape(self.clue_excess.shape) + self.clue_excess
+            np.square(counts, out=counts).sum(axis=(-2, -1), out=out[draw])
+        return out
 
     def argmax_grids(self, free_logits: np.ndarray) -> np.ndarray:
         """Hard argmax completion of every puzzle: (P, 81) digit indices."""

@@ -7,7 +7,8 @@ scalar node; they may lift named auxiliary leaves onto the node's tape, whose
 gradients are reported in ``GradientEstimate.aux_grads``.  An objective with
 a closed-form gradient may return ``x.apply(value, vjp)``, one node whose
 ``vjp`` runs only when the gradient is wanted (``analysis.PolyObjective``,
-the Sudoku objective ``benchmarks.sudoku.SudokuBatch.objective``).
+``benchmarks.polyprog.polyprog_loss``, the Sudoku objective
+``benchmarks.sudoku.SudokuBatch.objective``).
 
 All kinds run one pipeline, :func:`estimate`:
 

@@ -3,8 +3,10 @@ enumerating every assignment, the polynomial-programming loss at vertices;
 each benchmark's two forms (the tape objective an estimator differentiates,
 the array form the traces score) agreeing at hard samples; and every gradient
 an estimator or the runner takes from an objective against central
-differences at interior soft points; and the GMM clustering accuracy against
-the maximum over every label permutation."""
+differences at interior soft points; the closed-form polyprog and Sudoku nodes
+against the forms they replaced (the tape composition, the assembled grids);
+and the GMM clustering accuracy against the maximum over every label
+permutation."""
 
 from itertools import permutations, product
 
@@ -13,7 +15,14 @@ import pytest
 
 from redge.benchmarks import gmm
 from redge.benchmarks.polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
-from redge.benchmarks.sudoku import SudokuBatch, generate_puzzles, penalty_batch
+from redge.benchmarks.sudoku import (
+    DIGITS,
+    GRID_CELLS,
+    SudokuBatch,
+    generate_puzzles,
+    group_sums,
+    penalty_batch,
+)
 from redge.categorical import FactorizedCategorical, sample
 from redge.estimators import eval_objective
 from redge.tensor import Tape, finite_diff_gradient, stable_softmax
@@ -83,12 +92,93 @@ def test_polyprog_forms_agree_at_hard_samples(relaxation):
             exact_polyprog_loss(x, problem)
 
 
+def polyprog_tape_loss(x, problem):
+    """The polyprog objective composed from tape operations, the form the
+    closed-form node replaced."""
+    if problem.relaxation == "power":
+        per_row = (x @ np.array([[0.0], [1.0]]) - problem.target).abs().pow(problem.exponent)
+    else:
+        per_row = x @ np.array([problem.vertex_values()]).T
+    return per_row.sum() * (1.0 / x.shape[0])
+
+
+@pytest.mark.parametrize("problem", [PolyProgProblem(length=12, target=0.3, exponent=3.0),
+                                     PolyProgProblem(length=9, target=0.45, exponent=1.5),
+                                     PolyProgProblem(length=12, target=0.3, exponent=3.0,
+                                                     relaxation="linear")])
+def test_polyprog_node_matches_its_tape_composition(problem):
+    def both(x):
+        return (eval_objective(lambda z: polyprog_loss(z, problem), x)[:2],
+                eval_objective(lambda z: polyprog_tape_loss(z, problem), x)[:2])
+
+    for seed in range(5):
+        (value, grad), (want_value, want_grad) = both(hard_sample(problem.length, 2, seed).onehot)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
+        (value, grad), (want_value, want_grad) = both(soft_point(problem.length, 2, seed))
+        assert value == pytest.approx(want_value, rel=1e-14)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("relaxation", ["power", "linear"])
+def test_polyprog_loss_rejects_rows_of_another_width(relaxation):
+    problem = PolyProgProblem(length=4, relaxation=relaxation)
+    with pytest.raises(ValueError, match="L x 2 rows"):
+        eval_objective(lambda z: polyprog_loss(z, problem), np.full((4, 3), 1.0 / 3.0))
+
+
+def grid_adjoint(g):
+    """Adjoint of ``group_sums`` for (P, 27, 9) cotangents, written on the
+    grid's (row, column) axes: every cell gets its row, column and block
+    entries, added in that order."""
+    lead = g.shape[0]
+    out = np.zeros((lead, 9, 9, DIGITS))
+    out += g[:, 0:9, None, :]
+    out += g[:, None, 9:18, :]
+    blocks = out.reshape(lead, 3, 3, 3, 3, DIGITS)      # (block row, r, block column, c)
+    blocks += g[:, 18:27].reshape(lead, 3, 1, 3, 1, DIGITS)
+    return out.reshape(lead, GRID_CELLS, DIGITS)
+
+
+def sudoku_grid_form(batch, x):
+    """Penalty and gradient of the free rows x from the assembled grids."""
+    grids = batch.grids_from_free(x)
+    grad = grid_adjoint(2.0 * (group_sums(grids) - 1.0)).reshape(-1, DIGITS)
+    return penalty_batch(grids).sum(), grad[batch.scatter_index]
+
+
 def test_sudoku_forms_agree_at_hard_samples():
-    batch = SudokuBatch(generate_puzzles(3, 5))
-    for seed in range(3):
-        x = hard_sample(batch.total_free, 9, seed).onehot
-        assert batch.objective(Tape().constant(x)).value[0, 0] == \
-            penalty_batch(batch.grids_from_free(x)).sum()
+    # Every count is an exact integer at a hard sample, so the closed-form
+    # node reproduces the grid form's value and gradient to the last bit.
+    for puzzle_seed in (5, 6, 7):
+        batch = SudokuBatch(generate_puzzles(3, puzzle_seed))
+        for seed in range(3):
+            x = hard_sample(batch.total_free, 9, seed).onehot
+            value, grad, _ = eval_objective(batch.objective, x)
+            want_value, want_grad = sudoku_grid_form(batch, x)
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_sudoku_forms_agree_at_soft_points():
+    for puzzle_seed in (5, 6, 7):
+        batch = SudokuBatch(generate_puzzles(3, puzzle_seed))
+        for seed in range(3):
+            x = soft_point(batch.total_free, 9, seed)
+            value, grad, _ = eval_objective(batch.objective, x)
+            want_value, want_grad = sudoku_grid_form(batch, x)
+            assert value == pytest.approx(want_value, rel=1e-12)
+            # relative to the gradient's norm: an excess near 0 cancels in
+            # both forms, so single entries may differ by more
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+
+
+@pytest.mark.parametrize("extra_rows, columns", [(-1, DIGITS), (1, DIGITS), (0, 3)])
+def test_sudoku_objective_rejects_rows_of_another_shape(extra_rows, columns):
+    batch = SudokuBatch(generate_puzzles(2, 5))
+    shape = (batch.total_free + extra_rows, columns)
+    with pytest.raises(ValueError, match="free-cell rows"):
+        eval_objective(batch.objective, np.zeros(shape))
 
 
 def test_gmm_likelihood_term_picks_likelihood_cost_entries():

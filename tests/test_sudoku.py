@@ -1,7 +1,7 @@
-"""Sudoku benchmark tests: the group-sum adjoint pair behind the objective's
-closed-form node, the digit-count penalty against the grid form, the argmax
-completion, grid validity, clue checks, deterministic puzzle generation and
-the puzzle-file parser."""
+"""Sudoku benchmark tests: the free-cell scatter/gather adjoint pair behind
+the objective's closed-form node, the digit-count penalty against the grid
+form, the argmax completion, grid validity, clue checks, deterministic puzzle
+generation and the puzzle-file parser."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from redge.benchmarks.sudoku import (
     SudokuProblem,
     _complete_grid,
     generate_puzzles,
-    group_sums,
-    group_sums_adjoint,
     is_valid_grid,
     load_puzzle_file,
     parse_puzzles,
@@ -22,19 +20,18 @@ from redge.benchmarks.sudoku import (
 )
 
 
-def inner(a, b):
-    """Inner product over the last two axes, leading axes kept."""
-    return np.einsum("...ij,...ij->...", a, b)
-
-
-def test_group_sums_adjoint_pair_with_leading_axes():
+def test_free_scatter_gather_adjoint_pair():
+    # <g, S x> = <S^T g, x> for the free rows' group counts S and their
+    # gather S^T, on puzzles with different clue patterns.
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, 3, GRID_CELLS, DIGITS))
-    g = rng.standard_normal((2, 3, 27, DIGITS))
-    lhs = inner(g, group_sums(x))
-    rhs = inner(group_sums_adjoint(g), x)
-    assert lhs.shape == (2, 3)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    for seed in range(3):
+        batch = SudokuBatch(generate_puzzles(3, seed))
+        for _ in range(4):
+            x = rng.standard_normal((batch.total_free, DIGITS))
+            g = rng.standard_normal((batch.count * 27, DIGITS))
+            lhs = np.vdot(g, batch.scatter_free(x))
+            rhs = np.vdot(batch.gather_free(g), x)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_hard_penalties_match_the_grid_form():
