@@ -23,6 +23,8 @@ class AdamState:
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update; returns the new parameters.
 
+    The moment buffers ``state.m`` and ``state.v`` are updated in place.
+
     Aborts on non-finite gradients so a diverging run fails loudly instead of
     poisoning the moment buffers.
     """
@@ -35,8 +37,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step_count += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
-    m_hat = state.m / (1.0 - state.beta1**state.step_count)
-    v_hat = state.v / (1.0 - state.beta2**state.step_count)
+    m, v = state.m, state.v   # updated in place
+    np.multiply(m, state.beta1, out=m)
+    m += (1.0 - state.beta1) * grad
+    np.multiply(v, state.beta2, out=v)
+    v += grad**2 * (1.0 - state.beta2)
+    m_hat = m / (1.0 - state.beta1**state.step_count)
+    v_hat = v / (1.0 - state.beta2**state.step_count)
     return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor import Node, Tape, _row_total, as_matrix, grad_or_zero, softmax_rows, stable_softmax
+from ..tensor import (Node, Tape, _row_total, as_matrix, covariance_apply, grad_or_zero,
+                      softmax_rows, stable_softmax)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -105,10 +106,27 @@ def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProb
 
 
 def entropy_prior_gradient(logits: np.ndarray, problem: GmmProblem) -> np.ndarray:
-    """Exact logits gradient of the analytic entropy + prior terms."""
+    """Exact logits gradient of the analytic entropy + prior terms.
+
+    One closed-form node on its tape, with :func:`entropy_prior_term`'s
+    value and the VJP Cov(p) (g log p + (g p) / p), the term's tape
+    composition in that tape's operation order, so the gradient is bit for
+    bit the tape's.  A probability that underflowed to zero has no finite
+    log and raises ``ValueError``.
+    """
     tape = Tape()
     leaf = tape.lift(logits, requires_grad=True)
-    tape.backward(entropy_prior_term(leaf, problem))
+    p = stable_softmax(leaf.value)
+    if not np.all(p > 0.0):
+        raise ValueError("entropy_prior_gradient: a probability underflowed to 0")
+    log_p = np.log(p)
+    value = float((p * log_p).sum()) + problem.size * np.log(problem.components)
+
+    def vjp(g):
+        g = g[0, 0]
+        return covariance_apply(p, g * log_p + (g * p) / p)
+
+    tape.backward(leaf.apply(np.array([[value]]), vjp))
     tape.release()
     return grad_or_zero(leaf)
 

@@ -100,8 +100,16 @@ class _Task:
         self.est_cfg, self.steps, self.seed, self.lr = est_cfg, steps, seed, lr
         self.echo = {"lr": lr, **echo}
 
-    def estimate(self, dist: FactorizedCategorical, f, step: int):
-        return estimate(dist, f, self.est_cfg, _stream(self.seed, step))
+    def gradients(self, dist: FactorizedCategorical, f, step: int):
+        """The logits and auxiliary gradients of one ``estimate`` call.
+
+        Only these outlive the call: a K >= 3 diffusion estimate's soft
+        sample is a view of its chain's workspace, and dropping it here frees
+        that workspace before the rest of the step allocates, which keeps the
+        step's heap below glibc's trim threshold.
+        """
+        est = estimate(dist, f, self.est_cfg, _stream(self.seed, step))
+        return est.grad, est.aux_grads
 
 
 class _PolyTask(_Task):
@@ -119,8 +127,8 @@ class _PolyTask(_Task):
     def step(self, params, step):
         (logits,) = params
         dist = FactorizedCategorical(np.tile(logits, (self.batch, 1)))
-        est = self.estimate(dist, lambda x: polyprog_loss(x, self.stacked), step)
-        grad = est.grad.reshape(self.batch, self.problem.length, 2).sum(axis=0)
+        grad, _ = self.gradients(dist, lambda x: polyprog_loss(x, self.stacked), step)
+        grad = grad.reshape(self.batch, self.problem.length, 2).sum(axis=0)
         return [grad], exact_polyprog_loss(FactorizedCategorical(logits).probs, self.problem)
 
     def summary(self, params, trace):
@@ -148,10 +156,10 @@ class _GmmTask(_Task):
     def step(self, params, step):
         logits, mhat = params
         p = self.problem
-        est = self.estimate(FactorizedCategorical(logits),
-                            lambda x: gmm_mod.likelihood_term(x, mhat, p), step)
-        g_logits = est.grad + gmm_mod.entropy_prior_gradient(logits, p)
-        g_mhat = est.aux_grads["mhat"] + gmm_mod.map_gradient(mhat, p)
+        grad, aux = self.gradients(FactorizedCategorical(logits),
+                                   lambda x: gmm_mod.likelihood_term(x, mhat, p), step)
+        g_logits = grad + gmm_mod.entropy_prior_gradient(logits, p)
+        g_mhat = aux["mhat"] + gmm_mod.map_gradient(mhat, p)
         return [g_logits, g_mhat], gmm_mod.exact_objective_value(logits, mhat, p)
 
     def summary(self, params, trace):
@@ -181,10 +189,10 @@ class _SudokuTask(_Task):
 
     def step(self, params, step):
         dist = FactorizedCategorical(params[0])
-        est = self.estimate(dist, self.batch.objective, step)
+        grad, _ = self.gradients(dist, self.batch.objective, step)
         loss = _mc_hard_loss(self.batch, dist.probs, self.mc_draws,
                              _stream(self.seed, self.mc_tag + step)).mean()
-        return [est.grad], float(loss)
+        return [grad], float(loss)
 
     def summary(self, params, trace):
         logits, batch = params[0], self.batch

@@ -28,8 +28,11 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
   is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on (L,)
   arrays with one exp per row and step.
 - Any other K under the standard reference runs category-major, on (K, L)
-  transposes: the n-1 denoiser outputs fill one (n-1, K, L) block, and the
-  state and the sweep's cotangent are updated in place.
+  transposes, in one workspace per call: the n-1 denoiser outputs, the
+  state, the sweep's cotangent and scratch, and the soft sample and final
+  denoiser it returns are all slots of a single allocation.  The chain node
+  keeps the workspace alive, and so does a kept soft sample or final
+  denoiser, since both are views of it.
 - A reference node runs :func:`composite_trajectory` on the caller's tape,
   so gradients reach the reference moments exactly as far as they flow into
   the reference node (the logits themselves, their ``detach()`` or a
@@ -424,10 +427,16 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
     np.add(small, 1.0, out=big)          # 1 + e
     np.divide(small, big, out=small)
     np.divide(1.0, big, out=big)
-    big_first = z >= 0.0
+    m = np.greater_equal(z, 0.0, out=z)   # z is spent; its array holds 1.0 where z >= 0
+    np.subtract(1.0, m, out=work)
     final = np.empty(theta.shape)
-    final[:, 0] = np.where(big_first, big, small)
-    final[:, 1] = np.where(big_first, small, big)
+    # The 0/1 blend big m + small (1 - m) in category 0 and its mirror in
+    # category 1, exact because both are finite and >= 0: x * 1 = x,
+    # x * 0 = +0 and x + 0 = x.
+    for out, first, second in zip(final.T, (big, small), (small, big)):
+        np.multiply(first, m, out=gap_theta)
+        np.multiply(second, work, out=out)
+        np.add(gap_theta, out, out=out)
 
     def vjp(g):
         last = len(block) - 1
@@ -462,40 +471,64 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     The chain and its sweep work on (K, L) transposes, so each row's max,
     total and broadcast is one contiguous op over L
     (``tensor.softmax_by_category``, ``tensor.covariance_apply_by_category``).
-    The n-1 denoiser outputs fill one (n-1, K, L) block; the state, and in
-    the sweep the cotangent, are updated in place in a few work arrays.
     Every float operation keeps the order of the row-major (L, K) formulas,
     so the results are bit-identical to them.
+
+    A call makes one allocation, an (n-1 + 8, K, L) workspace, and carves
+    it by plain indexing into slots of K L floats:
+
+    - the n-1 denoiser outputs d_k, category-major;
+    - theta, the state and a work array, which the sweep takes over as u,
+      the cotangent and tmp once the forward pass has spent them;
+    - the sweep's gradient, and a slot whose first row is the (L,) column
+      scratch of the ``tensor`` helpers;
+    - the C-ordered (L, K) transpose scratch of those helpers (read above
+      K = 16), the soft sample and the final denoiser.
+
+    The sweep writes only its own slots, never the outputs or the d_k, so a
+    second backward pass over the node gives the same gradient bit for bit;
+    the gradient it returns is the one array it allocates.  The chain node's
+    VJP holds the workspace, and the soft sample and the final denoiser are
+    views of it, so whichever of the three is kept keeps it all alive.  Each
+    call has a workspace of its own.  Allocating it at once also keeps the
+    heap mapped: its size sets glibc's dynamic trim threshold above what the
+    rest of a step frees, where a dozen smaller arrays let glibc return the
+    heap top after every estimate and fault it back in on the next one.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
     x1 = as_matrix(noise.x1)
     transitions = schedule.transitions
-    theta = logits.value.T.copy()
-    x = x1.T.copy()
-    work = np.empty_like(x)
-    col = np.empty(x.shape[1])
-    block = np.empty((len(step_z),) + x.shape)   # d_k, category-major
+    length, categories = logits.shape
+    steps = len(step_z)
+    workspace = np.empty((steps + 8, categories, length))
+    block, (theta, x, work, grad, spare) = workspace[:steps], workspace[steps:steps + 5]
+    scratch, soft, final = workspace[steps + 5:].reshape(3, length, categories)
+    col = spare[0]
+    np.copyto(theta, logits.value.T)
+    np.copyto(x, x1.T)
     for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
         np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
-        softmax_by_category(d, col)
+        softmax_by_category(d, col, scratch)
         np.multiply(x, b, out=x)
         np.multiply(d, a, out=work)
         np.add(work, x, out=x)
         if eta_s > 0.0:
-            np.multiply(as_matrix(z).T, eta_s, out=work)
+            np.copyto(work, as_matrix(z).T)   # a ufunc would buffer the transpose
+            np.multiply(work, eta_s, out=work)
             np.add(x, work, out=x)
+    np.copyto(soft, x.T)
+    np.copyto(final, block[-1].T)
+    u, cot, tmp = theta, x, work   # spent by the forward pass
 
     def vjp(g):
-        last = len(block) - 1
-        cot = g.T.copy()   # the cotangent on the current state
-        tmp, u, grad = (np.empty_like(cot) for _ in range(3))
-        col = np.empty(cot.shape[1])
+        last = steps - 1
+        np.copyto(cot, g.T)   # the cotangent on the current state
         for k in range(last, -1, -1):
             c, a, b = transitions[k][2:5]
             np.multiply(cot, a, out=tmp)
             out = grad if k == last else u   # the last step's u starts the gradient
-            covariance_apply_by_category(block[k], tmp, out, col)
+            covariance_apply_by_category(block[k], tmp, out, col, scratch)
             if out is u:
                 np.add(grad, u, out=grad)
             if not k:
@@ -505,8 +538,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
             np.add(cot, tmp, out=cot)
         return grad.T.copy()
 
-    return Trajectory(x1=x1, soft_sample=logits.apply(x.T.copy(), vjp),
-                      final_denoiser=block[-1].T.copy())
+    return Trajectory(x1=x1, soft_sample=logits.apply(soft, vjp), final_denoiser=final)
 
 
 def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,

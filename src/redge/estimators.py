@@ -111,7 +111,12 @@ class EstimatorConfig:
 
 @dataclass
 class GradientEstimate:
-    """An LxK gradient with respect to the logits, plus call metadata."""
+    """An LxK gradient with respect to the logits, plus call metadata.
+
+    The ``soft_sample`` of a category-major diffusion chain (K >= 3) is a
+    view of that chain's workspace, which it keeps alive (see
+    ``diffusion._category_chain``).
+    """
 
     grad: np.ndarray
     kind: str

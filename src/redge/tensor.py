@@ -93,38 +93,40 @@ def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _category_total(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _category_total(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Sum over the leading (category) axis of a (K, L) block into the (L,)
     ``out``, in :func:`_row_total`'s order on the (L, K) transpose: one
     category at a time for K <= 16, numpy's pairwise sum over a contiguous
-    K axis above."""
+    K axis above, on the transpose copied into the C-ordered (L, K)
+    ``scratch``."""
     if z.shape[0] > 16:
-        out[...] = np.ascontiguousarray(z.T).sum(axis=-1)
-        return out
+        np.copyto(scratch, z.T)
+        return np.sum(scratch, axis=-1, out=out)
     np.copyto(out, z[0])
     for row in z[1:]:
         out += row
     return out
 
 
-def softmax_by_category(z: np.ndarray, col: np.ndarray) -> np.ndarray:
+def softmax_by_category(z: np.ndarray, col: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """In place, the softmax over the leading axis of a (K, L) block: bit for
     bit the transpose of :func:`stable_softmax` on the (L, K) rows, with
-    every row op a contiguous op over L.  ``col`` is (L,) scratch."""
+    every row op a contiguous op over L.  ``col`` is (L,) scratch and
+    ``scratch`` (L, K), read only above K = 16 (see :func:`_category_total`)."""
     np.max(z, axis=0, out=col)
     np.subtract(z, col, out=z)
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return np.divide(z, _category_total(z, col), out=z)
+    return np.divide(z, _category_total(z, col, scratch), out=z)
 
 
 def covariance_apply_by_category(d: np.ndarray, g: np.ndarray, out: np.ndarray,
-                                 col: np.ndarray) -> np.ndarray:
+                                 col: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``out`` = Cov(d) g over the leading axis of (K, L) blocks, bit for bit
-    the transpose of :func:`covariance_apply`; ``g`` is overwritten and
-    ``col`` is (L,) scratch."""
+    the transpose of :func:`covariance_apply`; ``g`` is overwritten, and
+    ``col`` and ``scratch`` are as in :func:`softmax_by_category`."""
     np.multiply(d, g, out=out)
-    np.subtract(g, _category_total(out, col), out=g)
+    np.subtract(g, _category_total(out, col, scratch), out=g)
     return np.multiply(d, g, out=out)
 
 
@@ -362,13 +364,15 @@ class Tape:
     garbage collector rather than when its last outside reference goes, and
     the peak memory of a loop that builds many large tapes depends on when
     that collector runs.  A node built with :meth:`Node.apply` keeps what its
-    VJP closes over alive just as long: the diffusion chain's single node
-    holds the block of denoiser outputs.  These functions release the
-    tapes they build once the value or gradient is read, so no tape outlives
-    the call: ``estimators.estimate`` and ``estimators.eval_objective``,
-    ``categorical.eval_scalar`` (so ``exact_gradient``),
-    ``analysis.jacobian_decay_study`` and ``analysis.transport_slice``, and
-    ``benchmarks.gmm.entropy_prior_gradient``.
+    VJP closes over alive just as long: the category-major diffusion chain's
+    single node holds that call's whole workspace (its denoiser outputs and
+    scratch).  Its soft sample is a view of the same workspace, so a soft
+    sample kept after the tape is released keeps the workspace alive too.
+    These functions release the tapes they build once the value or gradient
+    is read, so no tape outlives the call: ``estimators.estimate`` and
+    ``estimators.eval_objective``, ``categorical.eval_scalar`` (so
+    ``exact_gradient``), ``analysis.jacobian_decay_study`` and
+    ``analysis.transport_slice``, and ``benchmarks.gmm.entropy_prior_gradient``.
     """
 
     def __init__(self):

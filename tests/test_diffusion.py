@@ -5,6 +5,8 @@ reduction is checked bitwise; sampler fidelity is checked against exact
 categorical probabilities at desk scale.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -558,3 +560,91 @@ def test_reference_must_be_the_logits_or_frozen():
         sample_trajectory(logits, sched, noise, other * 2.0)
     for frozen in (other.detach(), tape.constant(np.ones((1, 3))), logits):
         assert np.isfinite(sample_trajectory(logits, sched, noise, frozen).soft_sample.value).all()
+
+
+def _chain_case(categories, length, seed=30):
+    rng = np.random.default_rng(seed)
+    sched = linear_schedule(4, eta="half")
+    noise = draw_noise(sched, length, categories, rng)
+    tape = Tape()
+    leaf = tape.lift(1.5 * rng.standard_normal((length, categories)), requires_grad=True)
+    return tape, leaf, sched, noise, rng.standard_normal((length, categories))
+
+
+@pytest.mark.parametrize("categories", [3, 20])
+def test_category_chain_makes_one_allocation(categories):
+    # The forward pass allocates one workspace and nothing of (K, L) size
+    # beside it; the sweep allocates nothing of (K, L) size but the gradient
+    # it returns.  Both sides of the K <= 16 reduction rule are covered.
+    # numpy's ufunc loops take a buffer of up to getbufsize() elements for a
+    # broadcast operand; with K L above that, a (K, L) array stands out.
+    tape, leaf, sched, noise, cotangent = _chain_case(categories, length=4000)
+    size = cotangent.nbytes
+    assert cotangent.size > np.getbufsize()
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = sample_trajectory(leaf, sched, noise)
+        forward_peak = tracemalloc.get_traced_memory()[1] - start
+        after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(traj.soft_sample, seed=cotangent)
+        sweep_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    grown = [s for s in after.compare_to(before, "traceback") if s.size_diff > 0]
+    workspace = traj.soft_sample.value.base
+    assert workspace.shape == (len(sched.transitions) + 8, categories, 4000)
+    assert [(s.count_diff, s.size_diff) for s in grown] == [(1, workspace.nbytes)]
+    assert workspace.nbytes <= forward_peak < workspace.nbytes + size
+    assert leaf.grad.nbytes == size
+    assert size <= sweep_peak < 2 * size
+
+
+@pytest.mark.parametrize("categories", [3, 20])
+def test_category_chain_outputs_are_views_of_its_workspace(categories):
+    tape, leaf, sched, noise, _ = _chain_case(categories, length=7)
+    traj = sample_trajectory(leaf, sched, noise)
+    workspace = traj.soft_sample.value.base
+    for out in (traj.soft_sample.value, traj.final_denoiser):
+        assert out.shape == (7, categories) and out.flags.c_contiguous
+        assert np.shares_memory(out, workspace)
+    assert not np.shares_memory(traj.soft_sample.value, traj.final_denoiser)
+
+
+@pytest.mark.parametrize("categories", [2, 3, 20])
+def test_second_backward_pass_repeats_the_first(categories):
+    # K = 2 runs the gap chain, K = 3 and 20 the category-major chain; the
+    # sweep may not touch the outputs or the stored denoiser outputs.
+    tape, leaf, sched, noise, cotangent = _chain_case(categories, length=5)
+    traj = sample_trajectory(leaf, sched, noise)
+    outputs = traj.soft_sample.value.tobytes(), traj.final_denoiser.tobytes()
+    grads = []
+    for _ in range(2):
+        tape.backward(traj.soft_sample, seed=cotangent)
+        grads.append(leaf.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert (traj.soft_sample.value.tobytes(), traj.final_denoiser.tobytes()) == outputs
+    want = jacobian(traj.soft_sample, leaf).T @ cotangent.ravel()
+    np.testing.assert_allclose(np.frombuffer(grads[0]), want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("categories", [2, 3, 20])
+def test_a_second_trajectory_leaves_the_first_alone(categories):
+    # Each call has a workspace of its own: running and differentiating a
+    # second chain changes nothing the first one returned.
+    tape, leaf, sched, noise, cotangent = _chain_case(categories, length=5, seed=31)
+    first = sample_trajectory(leaf, sched, noise)
+    tape.backward(first.soft_sample, seed=cotangent)
+    kept = first.soft_sample.value, first.final_denoiser, leaf.grad
+    before = [a.tobytes() for a in kept]
+    tape2, leaf2, _, noise2, cotangent2 = _chain_case(categories, length=5, seed=32)
+    second = sample_trajectory(leaf2, sched, noise2)
+    tape2.backward(second.soft_sample, seed=cotangent2)
+    assert [a.tobytes() for a in kept] == before
+    tape.backward(first.soft_sample, seed=cotangent)
+    assert leaf.grad.tobytes() == before[2]

@@ -244,6 +244,35 @@ def test_gmm_entropy_prior_gradient_matches_central_differences():
                                rtol=1e-7, atol=1e-9)
 
 
+def test_gmm_entropy_prior_gradient_is_one_node_matching_its_tape_composition(monkeypatch):
+    # The old tape composition of entropy_prior_term, kept as the oracle.
+    rng = np.random.default_rng(41)
+    for size, components, scale in ((5, 4, 1.0), (50, 20, 3.0), (7, 3, 30.0)):
+        problem = gmm.gmm_generate(7, size=size, components=components)
+        logits = scale * rng.standard_normal((size, components))
+        tape = Tape()
+        leaf = tape.lift(logits, requires_grad=True)
+        tape.backward(gmm.entropy_prior_term(leaf, problem))
+        assert gmm.entropy_prior_gradient(logits, problem).tobytes() == leaf.grad.tobytes()
+    nodes = []
+    real_backward = Tape.backward
+
+    def counting(tape, output, seed=None):
+        nodes.append(len(tape.nodes))
+        return real_backward(tape, output, seed)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    gmm.entropy_prior_gradient(logits, problem)
+    assert nodes == [2]   # the lifted logits and the one closed-form node
+
+
+def test_gmm_entropy_prior_gradient_rejects_an_underflowed_probability():
+    # Two tied maxima halve the smallest subnormal exp(-745) to exactly 0.
+    problem = gmm.gmm_generate(7, size=2, components=3)
+    with pytest.raises(ValueError, match="underflowed to 0"):
+        gmm.entropy_prior_gradient(np.array([[0.0, -800.0, 0.0], [0.0, 0.0, 0.0]]), problem)
+
+
 def test_polyprog_rejects_an_empty_problem():
     with pytest.raises(ValueError, match="length must be at least 1, got 0"):
         PolyProgProblem(length=0)

@@ -205,3 +205,25 @@ def test_the_trace_loss_does_not_steer_optimisation(kind, monkeypatch):
     assert [row[1] for row in zeroed.trace] == [0.0] * 6
     assert [row[2] for row in zeroed.trace] == [row[2] for row in real.trace]
     assert np.array_equal(grids[0], grids[1])
+
+
+def test_adam_updates_its_moments_in_place_bit_for_bit():
+    # The old out-of-place expressions, kept as the oracle.
+    from redge.benchmarks.adam import AdamState, adam_step
+
+    rng = np.random.default_rng(40)
+    params = want = rng.standard_normal((6, 3))
+    state, m, v = AdamState(lr=0.03), np.zeros((6, 3)), np.zeros((6, 3))
+    for step in range(1, 6):
+        grad = rng.standard_normal((6, 3)) * 10.0 ** (step - 3)
+        params = adam_step(state, params, grad)
+        if step == 1:
+            buffers = state.m, state.v
+        m = state.beta1 * m + (1.0 - state.beta1) * grad
+        v = state.beta2 * v + (1.0 - state.beta2) * grad**2
+        m_hat = m / (1.0 - state.beta1**step)
+        v_hat = v / (1.0 - state.beta2**step)
+        want = want - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        assert params.tobytes() == want.tobytes()
+        assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
+    assert state.m is buffers[0] and state.v is buffers[1]
