@@ -12,7 +12,6 @@ from .categorical import (
 )
 from .diffusion import (
     Schedule,
-    Trajectory,
     TrajectoryNoise,
     ddim_step,
     denoiser,

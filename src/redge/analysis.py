@@ -145,7 +145,7 @@ def jacobian_decay_study(logits, t1_list: Sequence[float], n: int = 4,
     for t1, schedule in zip(t1_list, schedules):
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
-        states, _ = composite_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
+        states = composite_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
         jac_full = jacobian(states[-1][1], leaf)
         pre = states[-2][1]
         jac_pre = jacobian(pre, leaf)
@@ -412,16 +412,17 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
         for value in values:
             if not 0.0 < value < 1.0:
                 raise ValueError(f"transport_slice: {name} must lie in (0, 1), got {value}")
+    # One chain per (t1, q), a row per theta; rows never mix.
+    thetas = np.array(theta_values, dtype=np.float64).reshape(-1, 1)
+    logits = np.log(np.hstack([thetas, 1.0 - thetas]))
     rows = []
     for t1 in t1_list:
         schedule = _schedule_moving_t1(n, t1)
         for q in quantiles:
             u = NormalDist().inv_cdf(q)
-            x1 = (u / np.sqrt(2.0)) * np.array([[1.0, -1.0]])
-            for theta in theta_values:
-                tape = Tape()
-                leaf = tape.lift(np.log([[theta, 1.0 - theta]]))
-                traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1))
-                rows.append((t1, q, theta, float(traj.soft_sample.value[0, 0])))
-                tape.release()
+            x1 = np.tile((u / np.sqrt(2.0)) * np.array([[1.0, -1.0]]), (len(thetas), 1))
+            tape = Tape()
+            soft = sample_trajectory(tape.lift(logits), schedule, TrajectoryNoise(x1=x1))
+            rows += [(t1, q, theta, float(p)) for theta, p in zip(theta_values, soft.value[:, 0])]
+            tape.release()
     return rows

@@ -29,17 +29,18 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
   arrays with one exp per row and step.
 - Any other K under the standard reference runs category-major, on (K, L)
   transposes, in one workspace per call: the n-1 denoiser outputs, the
-  state, the sweep's cotangent and scratch, and the soft sample and final
-  denoiser it returns are all slots of a single allocation.  The chain node
-  keeps the workspace alive, and so does a kept soft sample or final
-  denoiser, since both are views of it.
+  state, the sweep's cotangent and scratch, and the soft sample it returns
+  are all slots of a single allocation.  The chain node keeps the workspace
+  alive, and so does a kept soft sample, since it is a view of it.
 - A reference node runs :func:`composite_trajectory` on the caller's tape,
   so gradients reach the reference moments exactly as far as they flow into
   the reference node (the logits themselves, their ``detach()`` or a
   constant).
 
-The first two run on arrays, keep only the starting state and enter the tape
-as one node whose VJP is the closed-form reverse sweep.  The denoisers and
+Every grid ends with a = 1, b = 0 and eta = 0, so each chain ends at its last
+denoiser output, the relaxed sample.  The first two run on arrays, keep no
+intermediate state, compute that output once and enter the tape as one node
+whose VJP is the closed-form reverse sweep.  The denoisers and
 :func:`ddim_step` are also built from tape nodes; composed by
 :func:`composite_trajectory`, which keeps every state, they are the oracle
 for both one-node chains.
@@ -53,8 +54,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (_EXP_FLOOR, Node, Tape, as_matrix, covariance_apply_by_category,
-                     softmax_by_category, softmax_rows, stable_softmax)
+from .tensor import (Node, Tape, as_matrix, covariance_apply_by_category, softmax_by_category,
+                     softmax_rows, stable_softmax)
 
 # Lower clamp of :func:`path_variance_floor`; it binds only above about
 # 900,000 categories.
@@ -133,10 +134,14 @@ class Schedule:
 
     @staticmethod
     def coef_ratio(t: float) -> float:
-        """c_t = alpha_t / sigma_t^2 = (1 - t) / t^2; undefined at t=0."""
+        """c_t = alpha_t / sigma_t^2 = (1 - t) / t^2; undefined at t=0, and
+        rejected below t of about 7.46e-155, where it overflows."""
         if t <= 0.0:
             raise ValueError(f"c_t undefined at t={t}: sigma is zero")
-        return (1.0 - t) / (t * t)
+        c = (1.0 - t) / (t * t) if t * t > 0.0 else math.inf
+        if not math.isfinite(c):
+            raise ValueError(f"c_t = (1 - t) / t^2 is not finite at t={t}")
+        return c
 
     @staticmethod
     def t_for_coef(c: float) -> float:
@@ -299,19 +304,6 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
     return TrajectoryNoise(x1=x1, step_z=step_z)
 
 
-@dataclass
-class Trajectory:
-    """One reverse pass: where it starts, where it ends, and its last denoiser.
-
-    The intermediate states are not kept; :func:`composite_trajectory`
-    returns every state when a check needs them.
-    """
-
-    x1: np.ndarray               # the starting state at t = 1
-    soft_sample: Node            # final state, a relaxed sample on the simplex
-    final_denoiser: np.ndarray   # denoiser output at the earliest positive timestep
-
-
 def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
     """One z entry per transition (all None if ``step_z`` is empty), a draw
     for every step with eta_s > 0, and every draw of ``shape``."""
@@ -329,8 +321,9 @@ def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) ->
 
 
 def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
-                      reference: Optional[Node] = None) -> Trajectory:
-    """Run the reverse chain down the grid.
+                      reference: Optional[Node] = None) -> Node:
+    """Run the reverse chain down the grid; return the soft sample, the
+    relaxed sample on the simplex, as one node of the tape of ``logits``.
 
     ``reference`` selects the Gaussian at t=1: None for the standard normal,
     or a logits node whose row softmax p gives the moment-matched
@@ -338,15 +331,15 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
     p + sqrt(v) * x1.  The moments carry gradients exactly as that node does:
     pass ``logits`` to differentiate through them, ``logits.detach()`` or a
     constant to freeze them; any other node that requires grad is rejected.
-    The soft sample, the final denoiser and the logits' gradient come back
-    as C-ordered (L, K) arrays.
+    The soft sample, the denoiser output at t1, and the logits' gradient
+    come back as C-ordered (L, K) arrays.
 
     The implementation is chosen from the input, K and ``reference``:
 
     - K = 2 with the standard reference: the gap chain (:func:`_gap_chain`).
-      At n = 2 its soft sample and final denoiser are ``stable_softmax`` of
-      the logits bit for bit, as the composite oracle's are; otherwise they
-      agree with :func:`composite_trajectory` to about 1e-15 relative.  Its
+      At n = 2 its soft sample is ``stable_softmax`` of the logits bit for
+      bit, as the composite oracle's is; otherwise it agrees with
+      :func:`composite_trajectory` to about 1e-15 relative.  Its
       gradient agrees to about 1e-12 times the cotangent's norm
       (``gradcheck.check_gap_chain``).
     - Any other K with the standard reference: the category-major chain
@@ -366,11 +359,10 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
         return _category_chain(logits, schedule, noise)
     if reference is not logits and reference.requires_grad:
         raise ValueError("reference must be the logits node itself or carry no gradient")
-    states, d = composite_trajectory(logits, schedule, noise, reference)
-    return Trajectory(x1=states[0][1].value, soft_sample=states[-1][1], final_denoiser=d.value)
+    return composite_trajectory(logits, schedule, noise, reference)[-1][1]
 
 
-def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
+def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node:
     """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1.
 
     Each transition stores the denoiser pair of z = (theta_0 - theta_1) +
@@ -378,9 +370,10 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
     e = exp(min(-z, 709)) (finite), d_0 = 1/(1+e), d_1 = e d_0 and set
     delta <- b delta + 2a d_0 - a + eta_s (z_0 - z_1) for their noise z.  The
     last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is its
-    denoiser: e = exp(max(-|z|, -745)), with 1/(1+e) in the category of the
-    sign of z and e/(1+e) in the other, so that at n = 2 (c = 0) the pair is
-    ``stable_softmax`` of the logits bit for bit.
+    denoiser, ``stable_softmax`` of the rows (z, 0); at n = 2 (c = 0) that is
+    ``stable_softmax`` of the logits bit for bit.  Its block entry holds the
+    larger of the pair first: the sweep multiplies the pair in that order,
+    and category order would move gradients in the last bit.
 
     The sweep carries the cotangent gap gamma = g_0 - g_1: from the last
     step down, u = a_k d_0 d_1 gamma is the logits' share of category 0 (and
@@ -417,26 +410,12 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
             np.subtract(step[:, 0], step[:, 1], out=work)
             np.multiply(work, eta_s, out=work)
             np.add(delta, work, out=delta)
-    big, small = block[-1]
-    z = np.multiply(delta, c_last, out=delta)   # delta is spent; its array holds z
-    np.add(gap_theta, z, out=z)
-    np.abs(z, out=small)
-    np.negative(small, out=small)
-    np.maximum(small, _EXP_FLOOR, out=small)
-    np.exp(small, out=small)             # e
-    np.add(small, 1.0, out=big)          # 1 + e
-    np.divide(small, big, out=small)
-    np.divide(1.0, big, out=big)
-    m = np.greater_equal(z, 0.0, out=z)   # z is spent; its array holds 1.0 where z >= 0
-    np.subtract(1.0, m, out=work)
-    final = np.empty(theta.shape)
-    # The 0/1 blend big m + small (1 - m) in category 0 and its mirror in
-    # category 1, exact because both are finite and >= 0: x * 1 = x,
-    # x * 0 = +0 and x + 0 = x.
-    for out, first, second in zip(final.T, (big, small), (small, big)):
-        np.multiply(first, m, out=gap_theta)
-        np.multiply(second, work, out=out)
-        np.add(gap_theta, out, out=out)
+    rows = np.zeros(theta.shape)   # (z, 0)
+    np.multiply(delta, c_last, out=delta)
+    np.add(gap_theta, delta, out=rows[:, 0])
+    soft = stable_softmax(rows)
+    np.maximum(soft[:, 0], soft[:, 1], out=block[-1, 0])
+    np.minimum(soft[:, 0], soft[:, 1], out=block[-1, 1])
 
     def vjp(g):
         last = len(block) - 1
@@ -461,11 +440,10 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Traj
         np.negative(grad, out=both[:, 1])
         return both
 
-    return Trajectory(x1=x1, soft_sample=logits.apply(final.copy(), vjp),
-                      final_denoiser=final)
+    return logits.apply(soft, vjp)
 
 
-def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Trajectory:
+def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node:
     """:func:`sample_trajectory` under the standard reference, category-major.
 
     The chain and its sweep work on (K, L) transposes, so each row's max,
@@ -474,7 +452,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     Every float operation keeps the order of the row-major (L, K) formulas,
     so the results are bit-identical to them.
 
-    A call makes one allocation, an (n-1 + 8, K, L) workspace, and carves
+    A call makes one allocation, an (n-1 + 7, K, L) workspace, and carves
     it by plain indexing into slots of K L floats:
 
     - the n-1 denoiser outputs d_k, category-major;
@@ -483,33 +461,35 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     - the sweep's gradient, and a slot whose first row is the (L,) column
       scratch of the ``tensor`` helpers;
     - the C-ordered (L, K) transpose scratch of those helpers (read above
-      K = 16), the soft sample and the final denoiser.
+      K = 16), and the soft sample.
 
-    The sweep writes only its own slots, never the outputs or the d_k, so a
-    second backward pass over the node gives the same gradient bit for bit;
-    the gradient it returns is the one array it allocates.  The chain node's
-    VJP holds the workspace, and the soft sample and the final denoiser are
-    views of it, so whichever of the three is kept keeps it all alive.  Each
-    call has a workspace of its own.  Allocating it at once also keeps the
-    heap mapped: its size sets glibc's dynamic trim threshold above what the
-    rest of a step frees, where a dozen smaller arrays let glibc return the
-    heap top after every estimate and fault it back in on the next one.
+    The forward pass stops at the last denoiser, whose transpose is the soft
+    sample.  The sweep writes only its own slots, never the soft sample or
+    the d_k, so a second backward pass over the node gives the same gradient
+    bit for bit; the gradient it returns is the one array it allocates.  The
+    chain node's VJP holds the workspace, and so does a kept soft sample, a
+    view of it.  Each call has a workspace of its own.  Allocating it at once
+    also keeps the heap mapped: its size sets glibc's dynamic trim threshold
+    above what the rest of a step frees, where a dozen smaller arrays let
+    glibc return the heap top after every estimate and fault it back in on
+    the next one.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
-    x1 = as_matrix(noise.x1)
     transitions = schedule.transitions
     length, categories = logits.shape
     steps = len(step_z)
-    workspace = np.empty((steps + 8, categories, length))
+    workspace = np.empty((steps + 7, categories, length))
     block, (theta, x, work, grad, spare) = workspace[:steps], workspace[steps:steps + 5]
-    scratch, soft, final = workspace[steps + 5:].reshape(3, length, categories)
+    scratch, soft = workspace[steps + 5:].reshape(2, length, categories)
     col = spare[0]
     np.copyto(theta, logits.value.T)
-    np.copyto(x, x1.T)
+    np.copyto(x, as_matrix(noise.x1).T)
     for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
         np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
         softmax_by_category(d, col, scratch)
+        if not s:
+            break   # the last transition's state is this denoiser
         np.multiply(x, b, out=x)
         np.multiply(d, a, out=work)
         np.add(work, x, out=x)
@@ -517,8 +497,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
             np.copyto(work, as_matrix(z).T)   # a ufunc would buffer the transpose
             np.multiply(work, eta_s, out=work)
             np.add(x, work, out=x)
-    np.copyto(soft, x.T)
-    np.copyto(final, block[-1].T)
+    np.copyto(soft, block[-1].T)
     u, cot, tmp = theta, x, work   # spent by the forward pass
 
     def vjp(g):
@@ -538,7 +517,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
             np.add(cot, tmp, out=cot)
         return grad.T.copy()
 
-    return Trajectory(x1=x1, soft_sample=logits.apply(soft, vjp), final_denoiser=final)
+    return logits.apply(soft, vjp)
 
 
 def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
@@ -553,8 +532,8 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     eta_s z: the fresh noise is drawn from the reference, not N(0, I), so
     x_s keeps the law of alpha_s x0 + sigma_s x1.
 
-    Returns the states [(t, Node)] and the final denoiser node; gradients
-    flow into ``reference`` as its node allows.
+    Returns the states [(t, Node)]; the last equals the last denoiser output
+    bit for bit.  Gradients flow into ``reference`` as its node allows.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
     tape = logits.tape
@@ -566,7 +545,6 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
         root = v.sqrt()
         x = mu + root * tape.constant(noise.x1)
     states = [(1.0, x)]
-    d = None
     for (t, s, c, a, b, eta_s), z in zip(schedule.transitions, step_z):
         if reference is None:
             d = denoiser(logits, x, t, schedule)
@@ -578,4 +556,4 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
                 r = b * schedule.sigma(t)
                 x = x + mu * (schedule.sigma(s) - r) + root * tape.constant(eta_s * as_matrix(z))
         states.append((s, x))
-    return states, d
+    return states

@@ -25,8 +25,8 @@ reinmax    inverse CDF on p                 hard sample  :func:`reinmax_apply`
 gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the tempered
                                                          softmax of the same perturbation
 reinforce  inverse CDF on p                 hard sample  :func:`reinforce_apply`
-redge      chain, then inverse CDF on the   hard sample  the chain node's closed-form
-           last denoiser output                          reverse sweep, seeded with g
+redge      chain, then inverse CDF on its   hard sample  the chain node's closed-form
+           soft sample, the last denoiser                reverse sweep, seeded with g
 redge-cov  as redge, from N(p, v), the      hard sample  the tape sweep of the composite
            moment-matched reference                      chain, seeded with g; through p
                                                          and v too with ``base_backprop``
@@ -216,14 +216,11 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     reference = None
     if kind == "redge-cov":
         reference = logits if config.base_backprop else logits.detach()
-    traj = sample_trajectory(logits, schedule, noise, reference)
-    soft, d_last = traj.soft_sample.value, traj.final_denoiser
-    hard = None
-    if kind != "redge-soft":
-        # One hard draw, from the denoiser at the earliest positive timestep.
-        hard = sample_onehot_rows(d_last, cat_rng)
+    x0 = sample_trajectory(logits, schedule, noise, reference)
+    soft = x0.value   # the denoiser output at t1: the hard draw's law too
+    hard = None if kind == "redge-soft" else sample_onehot_rows(soft, cat_rng)
     value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
-    tape.backward(traj.soft_sample, seed=gx)
+    tape.backward(x0, seed=gx)
     grad = grad_or_zero(logits)
     tape.release()   # the chain's block is freed on return, not by the cyclic collector
     if kind == "redge-max":
@@ -231,8 +228,11 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
         # logits term, Cov(d) g with d the last denoiser output, plus the term
         # transported through the earlier states.  The direct term becomes the
         # trapezoidal block 1/2 {Cov(d) + (X0-d)(X0-d)^T} g; the transported
-        # term is kept as is.
-        delta = hard.onehot - d_last
-        grad = grad + 0.5 * (delta * (delta * gx).sum(axis=1, keepdims=True)
-                             - covariance_apply(d_last, gx))
+        # term is kept as is.  In place, since temporaries above the live
+        # chain workspace made glibc trim the heap on every GMM step.
+        delta = hard.onehot - soft
+        delta *= (delta * gx).sum(axis=1, keepdims=True)
+        delta -= covariance_apply(soft, gx)
+        delta *= 0.5
+        grad = grad + delta
     return GradientEstimate(grad, kind, value, hard, soft, aux)

@@ -279,7 +279,7 @@ def check_reference_moments(seed: int) -> CheckResult:
     noise = diffusion.draw_noise(schedule, 3, 4, rng)
     tape = Tape()
     logits = tape.constant(dist.logits)
-    got = diffusion.sample_trajectory(logits, schedule, noise, logits).x1
+    got = diffusion.composite_trajectory(logits, schedule, noise, logits)[0][1].value
     p = dist.probs
     v = np.maximum(p * (1 - p) ** 2 + (1 - p) * p**2, diffusion.path_variance_floor(4))
     want = p + np.sqrt(v) * noise.x1
@@ -287,17 +287,18 @@ def check_reference_moments(seed: int) -> CheckResult:
 
 
 def _chain_outputs(chain, theta, schedule, noise, cotangent):
-    """Soft sample, final denoiser and logits gradient under ``cotangent``
+    """Soft sample, last denoiser and logits gradient under ``cotangent``
     and the standard reference; ``chain`` is a one-node chain of
-    ``diffusion`` or its ``composite_trajectory``."""
+    ``diffusion`` (its soft sample is its last denoiser) or its
+    ``composite_trajectory`` (the denoiser of its state at t1)."""
     tape = Tape()
     logits = tape.lift(theta, requires_grad=True)
     if chain is diffusion.composite_trajectory:
-        states, d_node = chain(logits, schedule, noise)
-        soft, d_last = states[-1][1], d_node.value
+        *_, (_, x), (_, soft) = chain(logits, schedule, noise)
+        d_last = diffusion.denoiser(logits, x, schedule.t1, schedule).value
     else:
-        traj = chain(logits, schedule, noise)
-        soft, d_last = traj.soft_sample, traj.final_denoiser
+        soft = chain(logits, schedule, noise)
+        d_last = soft.value
     tape.backward(soft, seed=cotangent)
     return soft.value, d_last, grad_or_zero(logits)
 
@@ -345,7 +346,7 @@ def check_gap_chain(seed: int) -> list:
     {4, 16}) pass the chain's exp clip at 709; the chains run under
     ``np.errstate(over="raise", invalid="raise")``, so an overflow raises.
 
-    The soft sample and the final denoiser must agree to 1e-12 relative.
+    The soft sample and the last denoiser must agree to 1e-12 relative.
     The gradient must agree to 1e-11 times the cotangent's norm, not
     relative to itself: where the gradient is small against the cotangent,
     the oracle's own d_0 (g_0 - d_0 g_0 - d_1 g_1) cancels, and a bound
@@ -409,8 +410,8 @@ def pathwise_fd_pair(dist: FactorizedCategorical, f, config: EstimatorConfig,
 
         def frozen(la):
             tape = Tape()
-            traj = diffusion.sample_trajectory(tape.constant(la), schedule, noise)
-            return float(f(traj.soft_sample).value[0, 0])
+            return float(f(diffusion.sample_trajectory(tape.constant(la), schedule,
+                                                       noise)).value[0, 0])
     elif kind in ("redge", "redge-cov"):
         schedule = config.schedule()
         noise = diffusion.draw_noise(schedule, length, categories, split_rng(seed)[0])
@@ -422,8 +423,8 @@ def pathwise_fd_pair(dist: FactorizedCategorical, f, config: EstimatorConfig,
             if kind == "redge-cov":
                 # without base_backprop the moments stay frozen at theta0
                 reference = logits if config.base_backprop else tape.constant(dist.logits)
-            traj = diffusion.sample_trajectory(logits, schedule, noise, reference)
-            return float((traj.soft_sample.value * gx).sum())
+            soft = diffusion.sample_trajectory(logits, schedule, noise, reference)
+            return float((soft.value * gx).sum())
     else:
         raise ValueError(f"no finite-difference oracle for kind {kind!r}")
     return est.grad, finite_diff_gradient(frozen, dist.logits, h)

@@ -73,6 +73,11 @@ class TestSchedule:
         assert sched.coef_ratio(0.5) == 2.0
         with pytest.raises(ValueError):
             sched.coef_ratio(0.0)
+        # (1 - t) / t^2 is inf below t of about 7.46e-155, and t^2 is 0 below
+        # about 2e-162; both name t instead of giving inf or ZeroDivisionError.
+        for t in (1e-155, 1e-170):
+            with pytest.raises(ValueError, match=f"not finite at t={t}"):
+                sched.coef_ratio(t)
 
 
 class TestDenoiser:
@@ -154,7 +159,7 @@ def reference_moments(logits):
 
     def first_state(x1):
         noise = TrajectoryNoise(x1=np.full(logits.shape, x1), step_z=(None,))
-        return sample_trajectory(node, linear_schedule(2), noise, node).x1
+        return composite_trajectory(node, linear_schedule(2), noise, node)[0][1].value
 
     mu = first_state(0.0)
     return mu, (first_state(1.0) - mu) ** 2
@@ -271,8 +276,8 @@ class TestStochasticStep:
         tape = Tape()
         leaf = tape.lift(np.tile(logit_row, (draws, 1)))
         noise = draw_noise(sched, draws, 2, rng)
-        traj = sample_trajectory(leaf, sched, noise, leaf if moment_matched else None)
-        hard = sample_onehot_rows(traj.final_denoiser, rng)
+        soft = sample_trajectory(leaf, sched, noise, leaf if moment_matched else None)
+        hard = sample_onehot_rows(soft.value, rng)
         emp = np.bincount(hard.indices, minlength=2) / draws
         target = FactorizedCategorical(logit_row).probs[0]
         return 0.5 * np.abs(emp - target).sum()
@@ -295,18 +300,21 @@ class TestStochasticStep:
 
 class TestTrajectory:
     def test_single_step_reduction_is_bitwise(self):
-        # K = 2 runs on the logit gap, every other K category-major.
+        # K = 2 runs on the logit gap, every other K category-major.  The
+        # binary rows include exact ties and gaps of +-800, where one
+        # probability sits at exp's floor.
         rng = np.random.default_rng(11)
         sched = linear_schedule(2)
         for categories in (4, 2):
-            for _ in range(10):
+            for trial in range(10):
                 logits = rng.normal(size=(3, categories))
+                if categories == 2 and trial % 2:
+                    logits[0, 0] = logits[0, 1]
+                    logits[1:, 0] = logits[1:, 1] + np.array([800.0, -800.0])
                 tape = Tape()
                 leaf = tape.lift(logits, requires_grad=True)
-                traj = sample_trajectory(leaf, sched, draw_noise(sched, 3, categories, rng))
-                expected = stable_softmax(logits)
-                assert traj.soft_sample.value.tobytes() == expected.tobytes()
-                assert traj.final_denoiser.tobytes() == expected.tobytes()
+                soft = sample_trajectory(leaf, sched, draw_noise(sched, 3, categories, rng))
+                assert soft.value.tobytes() == stable_softmax(logits).tobytes()
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(12)
@@ -315,7 +323,7 @@ class TestTrajectory:
         noise = draw_noise(sched, 2, 3, rng)
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
-        traj = sample_trajectory(leaf, sched, noise)
+        soft = sample_trajectory(leaf, sched, noise)
 
         tape2 = Tape()
         leaf2 = tape2.lift(logits, requires_grad=True)
@@ -323,7 +331,7 @@ class TestTrajectory:
         for t, s in zip(sched.grid[:-1], sched.grid[1:]):
             d = denoiser(leaf2, x, float(t), sched)
             x = ddim_step(float(s), float(t), x, d, sched)
-        np.testing.assert_array_equal(traj.soft_sample.value, x.value)
+        np.testing.assert_array_equal(soft.value, x.value)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -333,13 +341,11 @@ class TestTrajectory:
         perm = np.array([2, 0, 3, 1])
 
         noise_p = TrajectoryNoise(x1=noise.x1[:, perm], step_z=noise.step_z)
-        traj, traj_p = (sample_trajectory(Tape().lift(theta), sched, z)
+        soft, soft_p = (sample_trajectory(Tape().lift(theta), sched, z)
                         for theta, z in ((logits, noise), (logits[:, perm], noise_p)))
-        pairs = [(traj.x1, traj_p.x1),
-                 (traj.soft_sample.value, traj_p.soft_sample.value),
-                 (traj.final_denoiser, traj_p.final_denoiser)]
-        # the fused chain keeps only x1; every state comes from the oracle
-        states, states_p = (composite_trajectory(Tape().lift(theta), sched, z)[0]
+        pairs = [(soft.value, soft_p.value)]
+        # the fused chain keeps no state; every state comes from the oracle
+        states, states_p = (composite_trajectory(Tape().lift(theta), sched, z)
                             for theta, z in ((logits, noise), (logits[:, perm], noise_p)))
         assert len(states) == 6
         pairs += [(a.value, b.value) for (_, a), (_, b) in zip(states, states_p)]
@@ -353,8 +359,7 @@ class TestTrajectory:
         sched = linear_schedule(16)
         assert abs(sched.t1 - 1 / 15) < 1e-12
         tape = Tape()
-        traj = sample_trajectory(tape.lift(logits), sched, draw_noise(sched, draws, 3, rng))
-        soft = traj.soft_sample.value
+        soft = sample_trajectory(tape.lift(logits), sched, draw_noise(sched, draws, 3, rng)).value
         dist_to_vertex = np.min(
             np.linalg.norm(soft[:, None, :] - np.eye(3)[None], axis=2), axis=1)
         assert (dist_to_vertex <= 0.05).mean() >= 0.95
@@ -368,8 +373,8 @@ class TestTrajectory:
         noise = draw_noise(sched, 2, 3, rng)
         tape = Tape()
         node = tape.lift(logits)
-        traj = sample_trajectory(node, sched, noise, node)
-        np.testing.assert_allclose(traj.x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
+        x1 = composite_trajectory(node, sched, noise, node)[0][1].value
+        np.testing.assert_allclose(x1, p + np.sqrt(v) * noise.x1, atol=1e-14)
 
 
 class TestClosedFormJacobians:
@@ -417,10 +422,10 @@ def test_saturated_binary_rows_keep_finite_gradients(eta):
     sched = linear_schedule(16, t1=0.02, eta=eta)
     tape = Tape()
     leaf = tape.lift(theta, requires_grad=True)
-    traj = sample_trajectory(leaf, sched, draw_noise(sched, 3, 2, rng))
-    tape.backward(traj.soft_sample, seed=rng.standard_normal((3, 2)))
+    soft = sample_trajectory(leaf, sched, draw_noise(sched, 3, 2, rng))
+    tape.backward(soft, seed=rng.standard_normal((3, 2)))
     assert np.all(np.isfinite(leaf.grad))
-    assert np.all(traj.final_denoiser > 0.0)
+    assert np.all(soft.value > 0.0)
 
 
 def test_draw_noise_deterministic():
@@ -467,9 +472,9 @@ def test_binary_chains_read_noise_only_through_its_gap(reference, eta):
         tape = Tape()
         leaf = tape.lift(theta, requires_grad=True)
         ref = {"standard": None, "detach": leaf.detach(), "logits": leaf}[reference]
-        traj = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1, step_z=step_z), ref)
-        tape.backward(traj.soft_sample, seed=cotangent)
-        return traj.soft_sample.value, leaf.grad
+        soft = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1, step_z=step_z), ref)
+        tape.backward(soft, seed=cotangent)
+        return soft.value, leaf.grad
 
     soft_pair, grad_pair = run(pairs)
     soft_gap, grad_gap = run([gap(w) for w in pairs])
@@ -488,6 +493,28 @@ def test_standard_chain_is_one_tape_node(categories):
     assert len(tape.nodes) - before == 1
 
 
+@pytest.mark.parametrize("eta", ["zero", "half", "full"])
+@pytest.mark.parametrize("moment_matched", [False, True])
+def test_composite_chain_ends_at_its_last_denoiser(moment_matched, eta):
+    # The last transition has a = 1, b = 0 and eta = 0, so the last state is
+    # the denoiser at t1 of the state before it, bit for bit.
+    rng = np.random.default_rng(6)
+    sched = linear_schedule(5, eta=eta)
+    for categories in (2, 3, 20):
+        tape = Tape()
+        leaf = tape.lift(1.5 * rng.standard_normal((3, categories)))
+        noise = draw_noise(sched, 3, categories, rng)
+        states = composite_trajectory(leaf, sched, noise, leaf if moment_matched else None)
+        x = states[-2][1]
+        if moment_matched:
+            mu = leaf.softmax_rows()
+            v = (mu * (1.0 - mu)).clamp_min(path_variance_floor(categories))
+            d = denoiser_cov(leaf, x, sched.t1, sched, mu, v)
+        else:
+            d = denoiser(leaf, x, sched.t1, sched)
+        assert states[-1][1].value.tobytes() == d.value.tobytes()
+
+
 @pytest.mark.parametrize("reference", ["logits", "detach", "constant"])
 def test_reference_chain_is_the_composite_chain(reference):
     rng = np.random.default_rng(4)
@@ -502,14 +529,11 @@ def test_reference_chain_is_the_composite_chain(reference):
             leaf = tape.lift(theta, requires_grad=True)
             ref = {"logits": leaf, "detach": leaf.detach(),
                    "constant": tape.constant(theta)}[reference]
-            if chain is sample_trajectory:
-                traj = chain(leaf, sched, noise, ref)
-                soft, d_last = traj.soft_sample, traj.final_denoiser
-            else:
-                states, d_node = chain(leaf, sched, noise, ref)
-                soft, d_last = states[-1][1], d_node.value
+            soft = chain(leaf, sched, noise, ref)
+            if chain is composite_trajectory:
+                soft = soft[-1][1]
             tape.backward(soft, seed=cotangent)
-            outputs.append((soft.value, d_last, leaf.grad))
+            outputs.append((soft.value, leaf.grad))
         for got, want in zip(*outputs):
             assert got.tobytes() == want.tobytes()
 
@@ -521,7 +545,7 @@ def test_empty_step_z_means_deterministic_steps():
     leaf = Tape().constant(rng.standard_normal((2, 3)))
     bare = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1))
     explicit = sample_trajectory(leaf, sched, TrajectoryNoise(x1=x1, step_z=(None,) * 3))
-    np.testing.assert_array_equal(bare.soft_sample.value, explicit.soft_sample.value)
+    np.testing.assert_array_equal(bare.value, explicit.value)
 
 
 def test_step_z_needs_one_entry_per_transition():
@@ -559,7 +583,7 @@ def test_reference_must_be_the_logits_or_frozen():
     with pytest.raises(ValueError, match="reference must be the logits node"):
         sample_trajectory(logits, sched, noise, other * 2.0)
     for frozen in (other.detach(), tape.constant(np.ones((1, 3))), logits):
-        assert np.isfinite(sample_trajectory(logits, sched, noise, frozen).soft_sample.value).all()
+        assert np.isfinite(sample_trajectory(logits, sched, noise, frozen).value).all()
 
 
 def _chain_case(categories, length, seed=30):
@@ -587,18 +611,18 @@ def test_category_chain_makes_one_allocation(categories):
         before = tracemalloc.take_snapshot().filter_traces(numpy_only)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        traj = sample_trajectory(leaf, sched, noise)
+        soft = sample_trajectory(leaf, sched, noise)
         forward_peak = tracemalloc.get_traced_memory()[1] - start
         after = tracemalloc.take_snapshot().filter_traces(numpy_only)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        tape.backward(traj.soft_sample, seed=cotangent)
+        tape.backward(soft, seed=cotangent)
         sweep_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     grown = [s for s in after.compare_to(before, "traceback") if s.size_diff > 0]
-    workspace = traj.soft_sample.value.base
-    assert workspace.shape == (len(sched.transitions) + 8, categories, 4000)
+    workspace = soft.value.base
+    assert workspace.shape == (len(sched.transitions) + 7, categories, 4000)
     assert [(s.count_diff, s.size_diff) for s in grown] == [(1, workspace.nbytes)]
     assert workspace.nbytes <= forward_peak < workspace.nbytes + size
     assert leaf.grad.nbytes == size
@@ -608,12 +632,11 @@ def test_category_chain_makes_one_allocation(categories):
 @pytest.mark.parametrize("categories", [3, 20])
 def test_category_chain_outputs_are_views_of_its_workspace(categories):
     tape, leaf, sched, noise, _ = _chain_case(categories, length=7)
-    traj = sample_trajectory(leaf, sched, noise)
-    workspace = traj.soft_sample.value.base
-    for out in (traj.soft_sample.value, traj.final_denoiser):
-        assert out.shape == (7, categories) and out.flags.c_contiguous
-        assert np.shares_memory(out, workspace)
-    assert not np.shares_memory(traj.soft_sample.value, traj.final_denoiser)
+    soft = sample_trajectory(leaf, sched, noise).value
+    assert soft.shape == (7, categories) and soft.flags.c_contiguous
+    assert soft.base.shape == (len(sched.transitions) + 7, categories, 7)
+    # the soft sample is the workspace's last slot, beside the transpose scratch
+    assert np.shares_memory(soft, soft.base[-1])
 
 
 @pytest.mark.parametrize("categories", [2, 3, 20])
@@ -621,15 +644,15 @@ def test_second_backward_pass_repeats_the_first(categories):
     # K = 2 runs the gap chain, K = 3 and 20 the category-major chain; the
     # sweep may not touch the outputs or the stored denoiser outputs.
     tape, leaf, sched, noise, cotangent = _chain_case(categories, length=5)
-    traj = sample_trajectory(leaf, sched, noise)
-    outputs = traj.soft_sample.value.tobytes(), traj.final_denoiser.tobytes()
+    soft = sample_trajectory(leaf, sched, noise)
+    output = soft.value.tobytes()
     grads = []
     for _ in range(2):
-        tape.backward(traj.soft_sample, seed=cotangent)
+        tape.backward(soft, seed=cotangent)
         grads.append(leaf.grad.tobytes())
     assert grads[0] == grads[1]
-    assert (traj.soft_sample.value.tobytes(), traj.final_denoiser.tobytes()) == outputs
-    want = jacobian(traj.soft_sample, leaf).T @ cotangent.ravel()
+    assert soft.value.tobytes() == output
+    want = jacobian(soft, leaf).T @ cotangent.ravel()
     np.testing.assert_allclose(np.frombuffer(grads[0]), want, rtol=1e-12, atol=1e-14)
 
 
@@ -639,12 +662,12 @@ def test_a_second_trajectory_leaves_the_first_alone(categories):
     # second chain changes nothing the first one returned.
     tape, leaf, sched, noise, cotangent = _chain_case(categories, length=5, seed=31)
     first = sample_trajectory(leaf, sched, noise)
-    tape.backward(first.soft_sample, seed=cotangent)
-    kept = first.soft_sample.value, first.final_denoiser, leaf.grad
+    tape.backward(first, seed=cotangent)
+    kept = first.value, leaf.grad
     before = [a.tobytes() for a in kept]
     tape2, leaf2, _, noise2, cotangent2 = _chain_case(categories, length=5, seed=32)
     second = sample_trajectory(leaf2, sched, noise2)
-    tape2.backward(second.soft_sample, seed=cotangent2)
+    tape2.backward(second, seed=cotangent2)
     assert [a.tobytes() for a in kept] == before
-    tape.backward(first.soft_sample, seed=cotangent)
-    assert leaf.grad.tobytes() == before[2]
+    tape.backward(first, seed=cotangent)
+    assert leaf.grad.tobytes() == before[1]

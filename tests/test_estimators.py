@@ -81,6 +81,25 @@ class TestConfig:
         cfg = EstimatorConfig(kind="redge", steps=10, t1=0.5)
         assert cfg.schedule().t1 == 0.5
 
+    @pytest.mark.parametrize("kind", ["redge", "redge-soft", "redge-max", "redge-cov"])
+    def test_a_t1_whose_coefficient_overflows_fails_at_construction(self, kind):
+        # c_t1 = (1 - t1) / t1^2 overflows below t1 of about 7.46e-155; such
+        # a chain returned all-nan gradients at K = 2 and failed in the hard
+        # draw at K = 3.
+        for t1 in (1e-155, 1e-170):
+            with pytest.raises(ValueError, match=f"not finite at t={t1}"):
+                EstimatorConfig(kind=kind, steps=4, t1=t1)
+
+    @pytest.mark.parametrize("kind", ["redge", "redge-soft", "redge-max", "redge-cov"])
+    @pytest.mark.parametrize("categories", [2, 3])
+    def test_a_tiny_finite_t1_gives_finite_gradients(self, kind, categories):
+        rng = np.random.default_rng(15)
+        dist = FactorizedCategorical(rng.normal(size=(2, categories)))
+        f = random_cubic(rng, 2, categories)
+        cfg = EstimatorConfig(kind=kind, steps=4, t1=1e-150)
+        for seed in range(3):
+            assert np.all(np.isfinite(estimate(dist, f, cfg, seed).grad))
+
 
 class TestStraightThrough:
     def test_frozen_binary_example(self):
@@ -358,8 +377,8 @@ class TestPermutationEquivariance:
             tape = Tape()
             leaf = tape.lift(la, requires_grad=True)
             from redge.diffusion import TrajectoryNoise
-            traj = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1, step_z=noise.step_z))
-            tape.backward(traj.soft_sample.dot(tape.constant(gx)))
+            soft = sample_trajectory(leaf, schedule, TrajectoryNoise(x1=x1, step_z=noise.step_z))
+            tape.backward(soft.dot(tape.constant(gx)))
             return leaf.grad
 
         a = path_grad(logits, noise.x1, coeff)
