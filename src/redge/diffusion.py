@@ -24,9 +24,13 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
 
 - K = 2 under the standard reference runs on the per-row gap
   delta = x_0 - x_1.  The denoiser softmax(theta + c_t x) of a binary row
-  depends on x only through theta_0 - theta_1 + c_t delta, and its covariance
-  is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on (L,)
-  arrays with one exp per row and step.
+  depends on x only through z = theta_0 - theta_1 + c_t delta, and its
+  covariance is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on
+  (L,) arrays with one exp per row and step.  The forward pass stores only
+  e = exp(-z) of each intermediate step, and the sweep rebuilds the pair
+  d_0 = 1/(1+e), d_1 = e d_0 from it: the denoiser is closed-form and
+  cheap, so recomputing beats storing (Chen et al. 2016, arXiv 1604.06174).
+  The stored rows and the (L,) scratch are slots of one workspace per call.
 - Any other K under the standard reference runs category-major, on (K, L)
   transposes, in one workspace per call: the n-1 denoiser outputs, the
   state, the sweep's cotangent and scratch, and the soft sample it returns
@@ -40,7 +44,11 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
 Every grid ends with a = 1, b = 0 and eta = 0, so each chain ends at its last
 denoiser output, the relaxed sample.  The first two run on arrays, keep no
 intermediate state, compute that output once and enter the tape as one node
-whose VJP is the closed-form reverse sweep.  The denoisers and
+whose VJP is the closed-form reverse sweep.  Each makes one workspace
+allocation per call, the step's largest short-lived block: once the first
+one is freed, glibc sets its dynamic trim threshold to twice its size, above
+what the rest of a step frees, so the heap stays mapped between estimates
+instead of being trimmed and faulted back in.  The denoisers and
 :func:`ddim_step` are also built from tape nodes; composed by
 :func:`composite_trajectory`, which keeps every state, they are the oracle
 for both one-node chains.
@@ -54,8 +62,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (Node, Tape, as_matrix, covariance_apply_by_category, softmax_by_category,
-                     softmax_rows, stable_softmax)
+from .tensor import (_EXP_FLOOR, Node, Tape, as_matrix, covariance_apply_by_category,
+                     softmax_by_category, softmax_rows, stable_softmax)
 
 # Lower clamp of :func:`path_variance_floor`; it binds only above about
 # 900,000 categories.
@@ -365,42 +373,50 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
 def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node:
     """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1.
 
-    Each transition stores the denoiser pair of z = (theta_0 - theta_1) +
-    c delta in one (n-1, 2, L) block.  The n-2 intermediate ones take
-    e = exp(min(-z, 709)) (finite), d_0 = 1/(1+e), d_1 = e d_0 and set
-    delta <- b delta + 2a d_0 - a + eta_s (z_0 - z_1) for their noise z.  The
-    last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is its
-    denoiser, ``stable_softmax`` of the rows (z, 0); at n = 2 (c = 0) that is
-    ``stable_softmax`` of the logits bit for bit.  Its block entry holds the
-    larger of the pair first: the sweep multiplies the pair in that order,
-    and category order would move gradients in the last bit.
+    The denoiser pair of z = (theta_0 - theta_1) + c delta is d_0 = 1/(1+e)
+    and d_1 = e d_0 with e = exp(min(-z, 709)) (finite).  Each of the n-2
+    intermediate transitions stores only its e and sets
+    delta <- b delta + 2a d_0 - a + eta_s (z_0 - z_1) for its noise z.  The
+    last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is
+    its denoiser, ``stable_softmax`` of the rows (z, 0), computed here one
+    column at a time in that function's operation order; at n = 2 (c = 0) it
+    is ``stable_softmax`` of the logits bit for bit.
 
     The sweep carries the cotangent gap gamma = g_0 - g_1: from the last
     step down, u = a_k d_0 d_1 gamma is the logits' share of category 0 (and
-    -u of category 1), and gamma <- b_k gamma + 2 c_k u.
+    -u of category 1), and gamma <- b_k gamma + 2 c_k u.  It rebuilds each
+    pair from the stored e in the forward's order and multiplies
+    ((gamma a_k) d_0) d_1; the last step's pair is the soft sample's
+    (larger, smaller) entries, in that order, since category order would
+    move gradients in the last bit.  Storing the products d_0 d_1 instead
+    would be cheaper, but (gamma a_k)(d_0 d_1) rounds differently.
 
-    Storing only the products d_0 d_1 would halve the block, but on 32768 x 2
-    rows the smaller block made glibc hand the heap back to the system after
-    every estimate (it trims once the free top exceeds twice the largest
-    block freed), and re-faulting about 2,500 pages a step took back most
-    of what the gap chain saves.
+    A call makes one allocation besides the soft sample, an (n-2 + 4, L)
+    workspace: the n-2 stored e, then gap_theta, delta, a work row and d_0,
+    which the sweep takes over as its gradient, gamma, u and the rebuilt
+    pair.  The sweep writes only those four slots, so a second backward pass
+    is bit-identical; the gradient it returns is the one array it allocates.
+    The chain node's VJP holds the workspace.  As one block it is the
+    estimate's largest and keeps the heap mapped (see the module docstring);
+    a separate (n-1, L) block of products beside (L,) arrays made every
+    ``poly-redge16`` step re-fault about 2,500 pages.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
+    transitions = schedule.transitions
     x1 = as_matrix(noise.x1)
     theta = logits.value
-    gap_theta = theta[:, 0] - theta[:, 1]
-    delta = x1[:, 0] - x1[:, 1]
-    work = np.empty_like(delta)
-    block = np.empty((len(step_z), 2) + delta.shape)   # the (d_0, d_1) pair per step
-    *steps, (_, _, c_last, *_) = schedule.transitions
-    for (t, s, c, a, b, eta_s), step, (d0, d1) in zip(steps, step_z, block):
-        np.multiply(delta, -c, out=d1)
-        np.subtract(d1, gap_theta, out=d1)   # -z
-        np.minimum(d1, 709.0, out=d1)
-        np.exp(d1, out=d1)                   # e
-        np.add(d1, 1.0, out=d0)
+    steps = len(step_z)
+    workspace = np.empty((steps + 3,) + theta.shape[:1])
+    block, (gap_theta, delta, work, d0) = workspace[:steps - 1], workspace[steps - 1:]
+    np.subtract(theta[:, 0], theta[:, 1], out=gap_theta)
+    np.subtract(x1[:, 0], x1[:, 1], out=delta)
+    for (t, s, c, a, b, eta_s), step, e in zip(transitions, step_z, block):
+        np.multiply(delta, -c, out=e)
+        np.subtract(e, gap_theta, out=e)   # -z
+        np.minimum(e, 709.0, out=e)
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=d0)
         np.divide(1.0, d0, out=d0)
-        np.multiply(d1, d0, out=d1)
         np.multiply(d0, 2.0 * a, out=work)
         np.subtract(work, a, out=work)
         np.multiply(delta, b, out=delta)
@@ -410,24 +426,39 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
             np.subtract(step[:, 0], step[:, 1], out=work)
             np.multiply(work, eta_s, out=work)
             np.add(delta, work, out=delta)
-    rows = np.zeros(theta.shape)   # (z, 0)
-    np.multiply(delta, c_last, out=delta)
-    np.add(gap_theta, delta, out=rows[:, 0])
-    soft = stable_softmax(rows)
-    np.maximum(soft[:, 0], soft[:, 1], out=block[-1, 0])
-    np.minimum(soft[:, 0], soft[:, 1], out=block[-1, 1])
+    # stable_softmax of the rows (z, 0): z in delta, the row max in work and
+    # the second column's exponent in d0
+    np.multiply(delta, transitions[-1][2], out=delta)
+    np.add(gap_theta, delta, out=delta)
+    np.maximum(delta, 0.0, out=work)
+    np.subtract(delta, work, out=delta)
+    np.subtract(0.0, work, out=d0)
+    soft = np.empty(theta.shape)
+    for z in (delta, d0):
+        np.maximum(z, _EXP_FLOOR, out=z)
+        np.exp(z, out=z)
+    np.add(delta, d0, out=work)
+    np.divide(delta, work, out=soft[:, 0])
+    np.divide(d0, work, out=soft[:, 1])
+    grad, gap, u, pair = gap_theta, delta, work, d0   # spent by the forward pass
 
     def vjp(g):
-        last = len(block) - 1
-        gap = g[:, 0] - g[:, 1]   # the cotangent gap on the current state
-        grad, u = np.empty_like(gap), np.empty_like(gap)
+        last = steps - 1
+        np.subtract(g[:, 0], g[:, 1], out=gap)   # the cotangent gap on the current state
         for k in range(last, -1, -1):
-            c, a, b = schedule.transitions[k][2:5]
+            c, a, b = transitions[k][2:5]
             out = grad if k == last else u   # the last step's u starts the gradient
-            d0, d1 = block[k]
             np.multiply(gap, a, out=out)
-            np.multiply(out, d0, out=out)
-            np.multiply(out, d1, out=out)
+            if k == last:
+                np.maximum(soft[:, 0], soft[:, 1], out=pair)
+                np.multiply(out, pair, out=out)
+                np.minimum(soft[:, 0], soft[:, 1], out=pair)
+            else:
+                np.add(block[k], 1.0, out=pair)
+                np.divide(1.0, pair, out=pair)
+                np.multiply(out, pair, out=out)
+                np.multiply(block[k], pair, out=pair)
+            np.multiply(out, pair, out=out)
             if out is u:
                 np.add(grad, u, out=grad)
             if not k:
@@ -532,8 +563,8 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     eta_s z: the fresh noise is drawn from the reference, not N(0, I), so
     x_s keeps the law of alpha_s x0 + sigma_s x1.
 
-    Returns the states [(t, Node)]; the last equals the last denoiser output
-    bit for bit.  Gradients flow into ``reference`` as its node allows.
+    Returns the states [(t, Node)]; the last is the last denoiser output
+    node itself.  Gradients flow into ``reference`` as its node allows.
     """
     step_z = _checked_step_z(schedule, noise, logits.shape)
     tape = logits.tape
@@ -548,9 +579,13 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     for (t, s, c, a, b, eta_s), z in zip(schedule.transitions, step_z):
         if reference is None:
             d = denoiser(logits, x, t, schedule)
-            x = ddim_step(s, t, x, d, schedule, z)
         else:
             d = denoiser_cov(logits, x, t, schedule, mu, v)
+        if not s:
+            x = d   # a = 1, b = 0 and eta_s = 0: the last state is this denoiser
+        elif reference is None:
+            x = ddim_step(s, t, x, d, schedule, z)
+        else:
             x = d * a + x * b
             if eta_s > 0.0:
                 r = b * schedule.sigma(t)

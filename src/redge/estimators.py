@@ -217,12 +217,13 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     if kind == "redge-cov":
         reference = logits if config.base_backprop else logits.detach()
     x0 = sample_trajectory(logits, schedule, noise, reference)
+    del noise   # the chain has read its draws
     soft = x0.value   # the denoiser output at t1: the hard draw's law too
     hard = None if kind == "redge-soft" else sample_onehot_rows(soft, cat_rng)
     value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
     tape.backward(x0, seed=gx)
     grad = grad_or_zero(logits)
-    tape.release()   # the chain's block is freed on return, not by the cyclic collector
+    tape.release()   # the chain's workspace is freed on return, not by the cyclic collector
     if kind == "redge-max":
         # The sweep's gradient splits at the final transition into a direct
         # logits term, Cov(d) g with d the last denoiser output, plus the term

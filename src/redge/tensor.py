@@ -364,10 +364,12 @@ class Tape:
     garbage collector rather than when its last outside reference goes, and
     the peak memory of a loop that builds many large tapes depends on when
     that collector runs.  A node built with :meth:`Node.apply` keeps what its
-    VJP closes over alive just as long: the category-major diffusion chain's
-    single node holds that call's whole workspace (its denoiser outputs and
-    scratch).  Its soft sample is a view of the same workspace, so a soft
-    sample kept after the tape is released keeps the workspace alive too.
+    VJP closes over alive just as long: each diffusion chain's single node
+    holds that call's whole workspace, the category-major chain's denoiser
+    outputs and scratch, or the binary gap chain's stored exp(-z) rows and
+    scratch.  The category-major soft sample is a view of its workspace, so
+    a soft sample kept after the tape is released keeps the workspace alive
+    too; the gap chain's soft sample is an array of its own.
     These functions release the tapes they build once the value or gradient
     is read, so no tape outlives the call: ``estimators.estimate`` and
     ``estimators.eval_objective``, ``categorical.eval_scalar`` (so

@@ -515,6 +515,23 @@ def test_composite_chain_ends_at_its_last_denoiser(moment_matched, eta):
         assert states[-1][1].value.tobytes() == d.value.tobytes()
 
 
+@pytest.mark.parametrize("moment_matched, steps, nodes",
+                         [(False, 2, 4), (False, 4, 16), (True, 2, 18), (True, 4, 42)])
+def test_composite_chain_composes_no_last_transition(moment_matched, steps, nodes):
+    # The last state is the last denoiser node itself; composing d * 1 + x * 0
+    # recorded three nodes more at 3 x 3 (45 instead of 42 for redge-cov at
+    # n = 4).
+    rng = np.random.default_rng(8)
+    tape = Tape()
+    leaf = tape.lift(rng.standard_normal((3, 3)), requires_grad=True)
+    sched = linear_schedule(steps)
+    noise = draw_noise(sched, 3, 3, rng)
+    before = len(tape.nodes)
+    states = composite_trajectory(leaf, sched, noise, leaf if moment_matched else None)
+    assert len(tape.nodes) - before == nodes
+    assert states[-1][1] is tape.nodes[-1]
+
+
 @pytest.mark.parametrize("reference", ["logits", "detach", "constant"])
 def test_reference_chain_is_the_composite_chain(reference):
     rng = np.random.default_rng(4)
@@ -595,16 +612,10 @@ def _chain_case(categories, length, seed=30):
     return tape, leaf, sched, noise, rng.standard_normal((length, categories))
 
 
-@pytest.mark.parametrize("categories", [3, 20])
-def test_category_chain_makes_one_allocation(categories):
-    # The forward pass allocates one workspace and nothing of (K, L) size
-    # beside it; the sweep allocates nothing of (K, L) size but the gradient
-    # it returns.  Both sides of the K <= 16 reduction rule are covered.
-    # numpy's ufunc loops take a buffer of up to getbufsize() elements for a
-    # broadcast operand; with K L above that, a (K, L) array stands out.
-    tape, leaf, sched, noise, cotangent = _chain_case(categories, length=4000)
-    size = cotangent.nbytes
-    assert cotangent.size > np.getbufsize()
+def _traced_chain(tape, leaf, sched, noise, cotangent):
+    """Run the chain and its sweep under tracemalloc: the soft-sample node,
+    the numpy blocks the forward pass left allocated, and the forward and
+    sweep peaks above their starts."""
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     tracemalloc.start()
     try:
@@ -621,12 +632,49 @@ def test_category_chain_makes_one_allocation(categories):
     finally:
         tracemalloc.stop()
     grown = [s for s in after.compare_to(before, "traceback") if s.size_diff > 0]
+    return soft, sorted((s.count_diff, s.size_diff) for s in grown), forward_peak, sweep_peak
+
+
+@pytest.mark.parametrize("categories", [3, 20])
+def test_category_chain_makes_one_allocation(categories):
+    # The forward pass allocates one workspace and nothing of (K, L) size
+    # beside it; the sweep allocates nothing of (K, L) size but the gradient
+    # it returns.  Both sides of the K <= 16 reduction rule are covered.
+    # numpy's ufunc loops take a buffer of up to getbufsize() elements for a
+    # broadcast operand; with K L above that, a (K, L) array stands out.
+    tape, leaf, sched, noise, cotangent = _chain_case(categories, length=4000)
+    size = cotangent.nbytes
+    assert cotangent.size > np.getbufsize()
+    soft, grown, forward_peak, sweep_peak = _traced_chain(tape, leaf, sched, noise, cotangent)
     workspace = soft.value.base
     assert workspace.shape == (len(sched.transitions) + 7, categories, 4000)
-    assert [(s.count_diff, s.size_diff) for s in grown] == [(1, workspace.nbytes)]
+    assert grown == [(1, workspace.nbytes)]
     assert workspace.nbytes <= forward_peak < workspace.nbytes + size
     assert leaf.grad.nbytes == size
     assert size <= sweep_peak < 2 * size
+
+
+def test_gap_chain_makes_one_allocation():
+    # K = 2: besides the (L, 2) soft sample the forward pass allocates one
+    # (n-2 + 4, L) workspace, the n-2 stored exp(-z) and four (L,) slots,
+    # and nothing else of (L,) size; the sweep allocates nothing of (L,)
+    # size but the (L, 2) gradient it returns.  With L above getbufsize(),
+    # an (L,) array stands out from numpy's ufunc buffers.
+    length = 10000
+    rng = np.random.default_rng(31)
+    sched = linear_schedule(6, eta="half")
+    noise = draw_noise(sched, length, 2, rng)
+    tape = Tape()
+    leaf = tape.lift(1.5 * rng.standard_normal((length, 2)), requires_grad=True)
+    cotangent = rng.standard_normal((length, 2))
+    row = cotangent.nbytes // 2
+    assert length > np.getbufsize()
+    soft, grown, forward_peak, sweep_peak = _traced_chain(tape, leaf, sched, noise, cotangent)
+    workspace = (len(sched.transitions) + 3) * row
+    assert grown == sorted([(1, workspace), (1, soft.value.nbytes)])
+    assert workspace + soft.value.nbytes <= forward_peak < workspace + soft.value.nbytes + row
+    assert leaf.grad.nbytes == cotangent.nbytes
+    assert cotangent.nbytes <= sweep_peak < cotangent.nbytes + row
 
 
 @pytest.mark.parametrize("categories", [3, 20])

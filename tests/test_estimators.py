@@ -2,6 +2,7 @@
 enumeration, finite-difference oracles, and permutation equivariance."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from redge.analysis import (
     transport_slice,
 )
 from redge.benchmarks import gmm, runner
+from redge.benchmarks.polyprog import PolyProgProblem, polyprog_loss
 from redge.categorical import (
     FactorizedCategorical,
     enumerate_onehots,
@@ -468,6 +470,26 @@ class TestMemoryAndLayout:
     @pytest.mark.parametrize("name", sorted(TAPE_BUILDERS))
     def test_tape_building_callers_leave_no_tape_behind(self, name):
         assert tapes_left_by(TAPE_BUILDERS[name]) == 0
+
+    def test_a_binary_redge_estimate_stays_within_its_memory(self):
+        # The poly-redge16 step's estimate: 32768 x 2 rows, n = 16.  The gap
+        # chain keeps one exp(-z) row per intermediate step and the polyprog
+        # node one (L, 2) array, so the traced peak stays below 8.5 MiB above
+        # entry (about 7.3 MiB); a chain that stored each step's (d_0, d_1)
+        # pair took it to 11.5 MiB.
+        problem = PolyProgProblem(length=32768)
+        dist = FactorizedCategorical(0.1 * np.random.default_rng(23).standard_normal((32768, 2)))
+        cfg = EstimatorConfig(kind="redge", steps=16)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            est = estimate(dist, lambda x: polyprog_loss(x, problem), cfg, 24)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(est.grad).all()
+        assert peak <= 8.5 * 2**20
 
     @pytest.mark.parametrize("categories", [3, 17])
     def test_logits_layout_does_not_change_the_estimate(self, categories):
