@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .categorical import FactorizedCategorical, exact_gradient, inverse_cdf
+from .categorical import FactorizedCategorical, exact_gradient, inverse_cdf, onehot_rows
 from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_schedule,
                         sample_trajectory, uniform_grid)
 from .estimators import (
@@ -380,7 +380,7 @@ def _batched_single_shot(config, dist, f, replications, rng):
     """Vectorized replications for the single-draw estimators: an (R, L, K)
     stack of inverse-CDF draws pushed through the estimators' own formulas."""
     p = dist.probs
-    onehots = np.take(np.eye(dist.categories), inverse_cdf(p, rng, (replications,)), axis=0)
+    onehots = onehot_rows(inverse_cdf(p, rng, (replications,)), dist.categories)
     if config.kind == "reinforce":
         return reinforce_apply(p, onehots, f.value_batch(onehots), config.baseline)
     gx = f.grad_batch(onehots)

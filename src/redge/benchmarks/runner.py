@@ -126,7 +126,10 @@ class _PolyTask(_Task):
 
     def step(self, params, step):
         (logits,) = params
-        dist = FactorizedCategorical(np.tile(logits, (self.batch, 1)))
+        tile = np.empty((self.batch * self.problem.length, 2))
+        tile.reshape(self.batch, -1, 2)[:] = logits   # np.tile's rows, in an array it owns
+        tile.flags.writeable = False   # handed over: the distribution shares it, not copies it
+        dist = FactorizedCategorical(tile)
         grad, _ = self.gradients(dist, lambda x: polyprog_loss(x, self.stacked), step)
         grad = grad.reshape(self.batch, self.problem.length, 2).sum(axis=0)
         return [grad], exact_polyprog_loss(FactorizedCategorical(logits).probs, self.problem)

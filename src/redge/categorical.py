@@ -5,6 +5,11 @@ logit matrix; row i of the probability matrix is the softmax of logit row i.
 Samples are LxK one-hot matrices drawn per row by inverse CDF, one uniform
 per row; Gumbel noise serves only the Gumbel-softmax estimator.
 
+The arrays handed out here are read-only: a distribution's ``logits`` and
+``probs``, and the one-hot matrix that :class:`OneHotSample` builds on
+demand from its indices.  ``Tape.lift`` shares such arrays rather than
+copying them (see ``tensor.frozen_matrix``).
+
 Includes the exact enumeration gradient oracle (sums over all K^L one-hot
 configurations, capped) against which the stochastic estimators are tested.
 """
@@ -17,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .tensor import Tape, as_matrix, stable_softmax
+from .tensor import Tape, as_matrix, frozen_matrix, stable_softmax
 
 ENUMERATION_CAP = 1 << 20
 
@@ -26,36 +31,57 @@ ENUMERATION_CAP = 1 << 20
 _UNIFORM_CLIP = 1e-12
 
 
+def onehot_rows(indices, categories: int) -> np.ndarray:
+    """The read-only one-hot array of shape ``indices.shape + (K,)``: rows of
+    the K x K identity, picked by in-range integer ``indices``."""
+    onehot = np.take(np.eye(categories), indices, axis=0)
+    onehot.flags.writeable = False
+    return onehot
+
+
 @dataclass(frozen=True)
 class OneHotSample:
-    """A hard sample: per-row category ids and the matching one-hot matrix."""
+    """A hard sample: per-row category ids and the number of categories.
+
+    :attr:`onehot` builds the (L, K) matrix anew on each read, so a sample
+    kept alive costs L indices, not L x K floats; read it once per use.
+    """
 
     indices: np.ndarray  # (L,) int64
-    onehot: np.ndarray   # (L, K) float64
+    categories: int
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """The (L, K) float64 one-hot matrix, read-only."""
+        return onehot_rows(self.indices, self.categories)
 
 
 def onehot_from_indices(indices, categories: int) -> OneHotSample:
     indices = np.asarray(indices, dtype=np.int64).ravel()
     if indices.min(initial=0) < 0 or indices.max(initial=0) >= categories:
         raise ValueError("category index out of range")
-    onehot = np.take(np.eye(categories), indices, axis=0)   # rows of the identity
-    return OneHotSample(indices=indices, onehot=onehot)
+    return OneHotSample(indices=indices, categories=categories)
 
 
 class FactorizedCategorical:
-    """Product of L independent K-way categoricals with cached probabilities."""
+    """Product of L independent K-way categoricals with cached probabilities.
+
+    ``logits`` is :func:`tensor.frozen_matrix` of the argument: an owned,
+    read-only float64 matrix is kept as is, anything else is copied once.
+    ``logits`` and ``probs`` are read-only, so a tape lifts them without a
+    copy and a caller cannot change the distribution behind its cache.
+    """
 
     def __init__(self, logits):
-        logits = as_matrix(logits)
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
-        self.logits = logits.copy()
+        self.logits = frozen_matrix(logits, "logits")
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """Row softmax of the logits, computed on first read (the diffusion
-        estimators never read it)."""
-        return stable_softmax(self.logits)
+        """Row softmax of the logits, read-only and computed on first read
+        (the diffusion estimators never read it)."""
+        probs = stable_softmax(self.logits)
+        probs.flags.writeable = False
+        return probs
 
     @property
     def length(self) -> int:
@@ -111,9 +137,10 @@ def sample(dist: FactorizedCategorical, rng: np.random.Generator) -> OneHotSampl
 
 
 def enumerate_onehots(length: int, categories: int):
-    """Yield (indices, onehot) for every one-hot configuration, row-major order."""
+    """Yield a :class:`OneHotSample` for every one-hot configuration, in
+    row-major order."""
     for combo in product(range(categories), repeat=length):
-        yield onehot_from_indices(np.array(combo), categories)
+        yield OneHotSample(np.array(combo, dtype=np.int64), categories)
 
 
 def joint_probability(dist: FactorizedCategorical, sample_: OneHotSample) -> float:
@@ -142,6 +169,6 @@ def exact_gradient(dist: FactorizedCategorical, f, cap: int = ENUMERATION_CAP) -
         raise ValueError(f"enumeration cap exceeded: {total} > {cap} configurations")
     grad = np.zeros_like(dist.logits)
     for s in enumerate_onehots(dist.length, dist.categories):
-        w = joint_probability(dist, s)
-        grad += w * eval_scalar(f, s.onehot) * (s.onehot - dist.probs)
+        w, x = joint_probability(dist, s), s.onehot
+        grad += w * eval_scalar(f, x) * (x - dist.probs)
     return grad

@@ -115,7 +115,9 @@ class GradientEstimate:
 
     The ``soft_sample`` of a category-major diffusion chain (K >= 3) is a
     view of that chain's workspace, which it keeps alive (see
-    ``diffusion._category_chain``).
+    ``diffusion._category_chain``); that of ST and ReinMax is the
+    distribution's read-only ``probs`` itself.  ``hard_sample`` holds the
+    drawn indices only, and builds its one-hot matrix when read.
     """
 
     grad: np.ndarray
@@ -141,7 +143,11 @@ def split_rng(rng):
 
 
 def eval_objective(f, x_value: np.ndarray):
-    """Evaluate f at a fixed matrix; return (value, grad wrt x, aux grads)."""
+    """Evaluate f at a fixed matrix; return (value, grad wrt x, aux grads).
+
+    The tape lifts ``x_value`` by ``tensor.frozen_matrix``: a one-hot from
+    ``OneHotSample.onehot`` is shared, a writable matrix is copied once.
+    """
     tape = Tape()
     x = tape.lift(x_value, requires_grad=True)
     out = f(x)
@@ -181,15 +187,16 @@ def estimate_for_sample(dist: FactorizedCategorical, f, config: EstimatorConfig,
         raise ValueError(f"kind {kind!r} transports along its chain; call estimate")
     if kind == "gs-st" and soft is None:
         raise ValueError("gs-st needs the tempered softmax of its perturbed logits")
-    value, gx, aux = eval_objective(f, hard.onehot)
+    onehot = hard.onehot
+    value, gx, aux = eval_objective(f, onehot)
     if kind == "st":
-        grad, soft = covariance_apply(p, gx), p.copy()
+        grad, soft = covariance_apply(p, gx), p
     elif kind == "reinmax":
-        grad, soft = reinmax_apply(p, hard.onehot, gx), p.copy()
+        grad, soft = reinmax_apply(p, onehot, gx), p
     elif kind == "gs-st":
         grad = covariance_apply(soft, gx) * (1.0 / config.tau)
     else:
-        grad, soft = reinforce_apply(p, hard.onehot, value, config.baseline), None
+        grad, soft = reinforce_apply(p, onehot, value, config.baseline), None
     return GradientEstimate(grad, kind, value, hard, soft, aux)
 
 
@@ -220,7 +227,10 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
     del noise   # the chain has read its draws
     soft = x0.value   # the denoiser output at t1: the hard draw's law too
     hard = None if kind == "redge-soft" else sample_onehot_rows(soft, cat_rng)
-    value, gx, aux = eval_objective(f, soft if hard is None else hard.onehot)
+    onehot = None if hard is None else hard.onehot
+    value, gx, aux = eval_objective(f, soft if onehot is None else onehot)
+    if kind != "redge-max":
+        onehot = None   # only redge-max's trapezoid reads it after f
     tape.backward(x0, seed=gx)
     grad = grad_or_zero(logits)
     tape.release()   # the chain's workspace is freed on return, not by the cyclic collector
@@ -230,8 +240,9 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
         # transported through the earlier states.  The direct term becomes the
         # trapezoidal block 1/2 {Cov(d) + (X0-d)(X0-d)^T} g; the transported
         # term is kept as is.  In place, since temporaries above the live
-        # chain workspace made glibc trim the heap on every GMM step.
-        delta = hard.onehot - soft
+        # chain workspace made glibc trim the heap on every GMM step; for the
+        # same reason the one-hot is built once, before the sweep, not here.
+        delta = onehot - soft
         delta *= (delta * gx).sum(axis=1, keepdims=True)
         delta -= covariance_apply(soft, gx)
         delta *= 0.5

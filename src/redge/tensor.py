@@ -16,8 +16,9 @@ this module is built that way.
 ``detach()`` creates a node with the same value but no parents: upstream of
 it the graph behaves as if the value were a constant (stop-gradient).
 
-Tapes are confined to one logical thread; values are never mutated after a
-node is created, so they can be shared freely across threads.
+Tapes are confined to one logical thread.  Values are never mutated after a
+node is created, so they can be shared freely across threads: a leaf holds a
+:func:`frozen_matrix` (read-only), and no op writes into its inputs.
 
 The ``*_by_category`` helpers are the diffusion chain's category-major (K, L)
 forms of :func:`stable_softmax` and :func:`covariance_apply`: in place, with
@@ -34,6 +35,7 @@ __all__ = [
     "Tape",
     "Node",
     "as_matrix",
+    "frozen_matrix",
     "stable_softmax",
     "softmax_rows",
     "finite_diff_gradient",
@@ -55,6 +57,28 @@ def as_matrix(value) -> np.ndarray:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ValueError(f"expected at most 2 dimensions, got shape {arr.shape}")
+    return arr
+
+
+def frozen_matrix(value, what: str = "input") -> np.ndarray:
+    """``value`` as a finite, read-only 2-D float64 matrix, copied at most once.
+
+    An owned, read-only, C-ordered float64 matrix counts as immutable and is
+    returned as is, shared rather than copied.  Anything else (a writable
+    array, a view, another dtype or layout, a scalar or a sequence) is copied
+    once into a read-only matrix of its own.  Both paths reject a non-finite
+    entry with ``ValueError``.  The rule trusts an owner that marks its array
+    read-only not to keep writing into it through a writable view.
+    """
+    if (type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 2
+            and value.flags.owndata and not value.flags.writeable
+            and value.flags.c_contiguous):
+        arr = value
+    else:
+        arr = as_matrix(np.array(value, dtype=np.float64, order="C"))
+        arr.flags.writeable = False
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
     return arr
 
 
@@ -358,6 +382,12 @@ class Tape:
     A tape is built once per estimation call and never reused across calls.
     Leaves created with a ``name`` can be looked up afterwards to read their
     gradients (used for auxiliary parameters threaded through objectives).
+    A leaf's value is :func:`frozen_matrix` of what was lifted.  An owned,
+    read-only float64 matrix is shared: a distribution's ``logits`` and
+    ``probs`` and ``OneHotSample.onehot`` are built that way (see
+    ``categorical``), so lifting them costs no copy.  Anything else is copied
+    once.  Either way the leaf's array is read-only, so "values are never
+    mutated" holds for leaves by construction, not by convention.
 
     Each node refers back to its tape, so a tape is a reference cycle until
     :meth:`release` drops its nodes; left alone, it is freed by the cyclic
@@ -382,9 +412,7 @@ class Tape:
         self.named: dict[str, Node] = {}
 
     def lift(self, value, requires_grad: bool = False, name: str | None = None) -> Node:
-        arr = as_matrix(value).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("lift: non-finite input rejected")
+        arr = frozen_matrix(value, "lift: input")
         node = Node(self, len(self.nodes), arr, (), bool(requires_grad), name)
         self.nodes.append(node)
         if name is not None:

@@ -4,6 +4,8 @@ Expected values tagged with hand-derivable formulas are frozen as literals;
 statistical checks use seeded draws with explicit confidence bands.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from redge.categorical import (
     inverse_cdf,
     joint_probability,
     onehot_from_indices,
+    onehot_rows,
     sample,
     sample_onehot_rows,
 )
@@ -224,3 +227,49 @@ def test_onehot_invariants():
     np.testing.assert_array_equal(s.onehot[0], [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         onehot_from_indices([3], 3)
+    with pytest.raises(ValueError):
+        onehot_from_indices([0, -1], 3)
+
+
+class TestOneHotSample:
+    def test_holds_indices_and_categories_only(self):
+        s = onehot_from_indices([4, 0, 2, 2], 5)
+        assert {f.name for f in fields(s)} == {"indices", "categories"}
+        assert s.categories == 5 and s.indices.dtype == np.int64
+
+    def test_onehot_is_identity_rows_and_read_only(self):
+        indices = np.random.default_rng(3).integers(0, 7, size=50)
+        onehot = onehot_from_indices(indices, 7).onehot
+        assert onehot.dtype == np.float64
+        np.testing.assert_array_equal(onehot, np.eye(7)[indices])
+        assert not onehot.flags.writeable
+        with pytest.raises(ValueError):
+            onehot[0, 0] = 2.0
+
+    def test_onehot_rows_keeps_leading_axes(self):
+        indices = np.array([[0, 2], [1, 1], [2, 0]])
+        np.testing.assert_array_equal(onehot_rows(indices, 3), np.eye(3)[indices])
+
+    def test_enumeration_yields_samples_in_row_major_order(self):
+        got = [s.indices.tolist() for s in enumerate_onehots(2, 2)]
+        assert got == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert all(s.categories == 2 for s in enumerate_onehots(2, 2))
+
+
+class TestReadOnlyDistribution:
+    def test_logits_and_probs_reject_writes(self):
+        dist = FactorizedCategorical(np.zeros((2, 3)))
+        for arr in (dist.logits, dist.probs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_read_only_owned_logits_are_shared_writable_ones_copied(self):
+        logits = np.arange(6.0).reshape(2, 3)
+        dist = FactorizedCategorical(logits)
+        assert not np.shares_memory(dist.logits, logits)
+        logits[0, 0] = 9.0   # the caller's array stays its own
+        assert dist.logits[0, 0] == 0.0
+        frozen = np.arange(6.0).reshape(2, 3).copy()   # owned, not a view
+        frozen.flags.writeable = False
+        assert FactorizedCategorical(frozen).logits is frozen

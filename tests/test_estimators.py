@@ -473,10 +473,12 @@ class TestMemoryAndLayout:
 
     def test_a_binary_redge_estimate_stays_within_its_memory(self):
         # The poly-redge16 step's estimate: 32768 x 2 rows, n = 16.  The gap
-        # chain keeps one exp(-z) row per intermediate step and the polyprog
-        # node one (L, 2) array, so the traced peak stays below 8.5 MiB above
-        # entry (about 7.3 MiB); a chain that stored each step's (d_0, d_1)
-        # pair took it to 11.5 MiB.
+        # chain keeps one exp(-z) row per intermediate step (4.5 MiB of
+        # workspace) and the polyprog node one (L, 2) array, and the tape
+        # shares the read-only logits and one-hot instead of copying them, so
+        # the traced peak stays below 6.75 MiB above entry (about 6.3 MiB).
+        # Copying both and keeping the one-hot through the sweep took it to
+        # 7.3 MiB; a chain that stored each step's (d_0, d_1) pair, to 11.5.
         problem = PolyProgProblem(length=32768)
         dist = FactorizedCategorical(0.1 * np.random.default_rng(23).standard_normal((32768, 2)))
         cfg = EstimatorConfig(kind="redge", steps=16)
@@ -489,7 +491,21 @@ class TestMemoryAndLayout:
         finally:
             tracemalloc.stop()
         assert np.isfinite(est.grad).all()
-        assert peak <= 8.5 * 2**20
+        assert peak <= 6.75 * 2**20
+
+    @pytest.mark.parametrize("kind", [k for k in ESTIMATOR_KINDS if k != "redge-soft"])
+    def test_an_estimate_keeps_no_onehot_matrix(self, kind):
+        # A hard sample holds its (L,) indices; the (L, K) one-hot is rebuilt
+        # on each read, so an estimate kept alive holds none.
+        dist, f = cubic_2x3(25)
+        hard = estimate(dist, f, EstimatorConfig(kind=kind, steps=3), 6).hard_sample
+        assert all(np.ndim(v) <= 1 for v in vars(hard).values())
+        np.testing.assert_array_equal(hard.onehot, np.eye(3)[hard.indices])
+
+    @pytest.mark.parametrize("config", [ST, REINMAX])
+    def test_st_and_reinmax_hand_back_the_probabilities_uncopied(self, config):
+        dist, f = cubic_2x3(26)
+        assert estimate(dist, f, config, 7).soft_sample is dist.probs
 
     @pytest.mark.parametrize("categories", [3, 17])
     def test_logits_layout_does_not_change_the_estimate(self, categories):

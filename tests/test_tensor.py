@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redge.categorical import FactorizedCategorical
 from redge.tensor import (
     Tape,
     _row_max,
@@ -71,6 +72,41 @@ class TestLift:
             tape.lift([np.inf, 1.0])
         with pytest.raises(ValueError):
             tape.lift([np.nan])
+
+
+class TestLiftSharing:
+    def test_owned_read_only_matrix_is_shared(self):
+        logits = FactorizedCategorical(np.arange(6.0).reshape(3, 2)).logits   # copied once
+        node = Tape().lift(logits, requires_grad=True)
+        assert node.value is logits
+        assert np.shares_memory(node.value, logits)
+
+    def test_anything_else_is_copied_into_a_read_only_leaf(self):
+        writable = np.arange(6.0).reshape(3, 2)
+        owner = writable.copy()
+        owner.flags.writeable = False
+        view = owner[:, ::-1]   # read-only, but not the owner
+        integer = np.arange(6).reshape(3, 2)
+        fortran = np.asfortranarray(writable)
+        fortran.flags.writeable = False
+        for value in (writable, view, integer, fortran):
+            leaf = Tape().lift(value).value
+            assert not np.shares_memory(leaf, value)
+            assert not leaf.flags.writeable and leaf.dtype == np.float64
+            np.testing.assert_array_equal(leaf, value)
+
+    def test_leaf_values_reject_writes(self):
+        leaf = Tape().lift(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ValueError):
+            leaf.value[0, 0] = 2.0
+
+    def test_non_finite_rejected_on_both_paths(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            Tape().lift(bad)   # the copy path
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="must be finite"):
+            Tape().lift(bad)   # the shared path
 
 
 class TestElementwiseOps:
