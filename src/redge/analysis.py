@@ -19,6 +19,7 @@ exactly as computed because the same replications feed both terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -399,8 +400,9 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
     """First coordinate of the relaxed sample as a function of the target weight.
 
     For K=2 the trajectory depends on the terminal noise only through the
-    coordinate gap, so a scalar quantile q pins the slice
-    x1(q) = Phi^-1(q) * (e1 - e2) / sqrt(2).  Returns rows
+    coordinate gap, an N(0, 2) draw, so a scalar quantile q pins the slice
+    at the gap sqrt(2) * Phi^-1(q), passed as the (L,) gaps of
+    ``TrajectoryNoise``.  Returns rows
     (t1, q, theta, output) showing the map sharpen as t1 shrinks.  Every
     quantile and every theta must lie in (0, 1), else ``ValueError``.
     """
@@ -419,8 +421,7 @@ def transport_slice(theta_values: Sequence[float], quantiles: Sequence[float],
     for t1 in t1_list:
         schedule = _schedule_moving_t1(n, t1)
         for q in quantiles:
-            u = NormalDist().inv_cdf(q)
-            x1 = np.tile((u / np.sqrt(2.0)) * np.array([[1.0, -1.0]]), (len(thetas), 1))
+            x1 = np.full(len(thetas), math.sqrt(2.0) * NormalDist().inv_cdf(q))
             tape = Tape()
             soft = sample_trajectory(tape.lift(logits), schedule, TrajectoryNoise(x1=x1))
             rows += [(t1, q, theta, float(p)) for theta, p in zip(theta_values, soft.value[:, 0])]

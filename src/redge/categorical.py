@@ -119,14 +119,22 @@ def inverse_cdf(probs: np.ndarray, rng: np.random.Generator, draws=()) -> np.nda
     running sum p_0 + ... + p_k is <= u, so it stays below K where the sum
     rounds below 1 and never lands on a zero-probability category.  A
     negative or non-finite entry (a log-weight, say) raises ``ValueError``.
+
+    The running sum starts at the column p_0 itself (0 + p_0 = p_0, so the
+    indices are those of a sum from zero) and is copied at p_0 + p_1, so at
+    K = 2 no running-sum array is allocated.
     """
     if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < np.inf):   # nan fails too
         raise ValueError("probabilities must be finite and non-negative")
     u = rng.random(tuple(draws) + probs.shape[:1])
-    cdf = np.zeros(probs.shape[0])
     indices = np.zeros(u.shape, dtype=np.int64)
-    for p_k in probs.T[:-1]:   # category-major running sums
-        cdf += p_k
+    for k, p_k in enumerate(probs.T[:-1]):   # category-major running sums
+        if k == 0:
+            cdf = p_k
+        elif k == 1:
+            cdf = cdf + p_k
+        else:
+            cdf += p_k
         indices += cdf <= u
     return indices
 

@@ -24,13 +24,16 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
 
 - K = 2 under the standard reference runs on the per-row gap
   delta = x_0 - x_1.  The denoiser softmax(theta + c_t x) of a binary row
-  depends on x only through z = theta_0 - theta_1 + c_t delta, and its
-  covariance is d_0 d_1 (1, -1)(1, -1)^T, so the chain and its sweep work on
-  (L,) arrays with one exp per row and step.  The forward pass stores only
-  e = exp(-z) of each intermediate step, and the sweep rebuilds the pair
-  d_0 = 1/(1+e), d_1 = e d_0 from it: the denoiser is closed-form and
-  cheap, so recomputing beats storing (Chen et al. 2016, arXiv 1604.06174).
-  The stored rows and the (L,) scratch are slots of one workspace per call.
+  depends on x only through z = theta_0 - theta_1 + c_t delta, so the chain
+  works on (L,) arrays with one exp per row and step, and the whole chain
+  depends on the logits only through the gap g = theta_0 - theta_1: one
+  input direction per row.  It therefore runs in forward mode, carrying
+  the scalar tangent d delta / d g beside delta (the K = 2 row of the
+  recurrence J_s = a S (I + c J_t) + b J_t), and keeps only the soft
+  sample's derivative in g; it stores no step and its VJP has no sweep
+  loop.  At K >= 3 a row's chain depends on K - 1 logit directions, so
+  forward mode would carry K - 1 tangents per row where the reverse sweep
+  carries one cotangent.
 - Any other K under the standard reference runs category-major, on (K, L)
   transposes, in one workspace per call: the n-1 denoiser outputs, the
   state, the sweep's cotangent and scratch, and the soft sample it returns
@@ -44,14 +47,17 @@ weighting 1/v, and its noisy steps draw their fresh noise from N(p, diag(v)).
 Every grid ends with a = 1, b = 0 and eta = 0, so each chain ends at its last
 denoiser output, the relaxed sample.  The first two run on arrays, keep no
 intermediate state, compute that output once and enter the tape as one node
-whose VJP is the closed-form reverse sweep.  Each makes one workspace
-allocation per call, the step's largest short-lived block: once the first
-one is freed, glibc sets its dynamic trim threshold to twice its size, above
-what the rest of a step frees, so the heap stays mapped between estimates
-instead of being trimmed and faulted back in.  The denoisers and
-:func:`ddim_step` are also built from tape nodes; composed by
-:func:`composite_trajectory`, which keeps every state, they are the oracle
-for both one-node chains.
+whose VJP is closed-form.  Each makes one workspace allocation per call, the
+step's largest short-lived block: once the first one is freed, glibc sets
+its dynamic trim threshold to twice its size, and while that stays above the
+heap extent of a step, the heap stays mapped between estimates instead of
+being trimmed and faulted back in.  The gap chain needs only five (L,) rows,
+less than the estimate holds beside them (the logits, the noise gaps, the
+soft sample and the kept derivative, six rows), so its workspace has eight:
+with five, every ``poly-redge16`` step re-faulted about 700 pages and took
+about 1 ms longer.  The denoisers and :func:`ddim_step` are also built from
+tape nodes; composed by :func:`composite_trajectory`, which keeps every
+state, they are the oracle for both one-node chains.
 """
 
 from __future__ import annotations
@@ -86,6 +92,13 @@ def path_variance_floor(categories: int) -> float:
     return max(VAR_FLOOR, 0.9 * uniform_var)
 
 _BOUNDARY_TOL = 1e-12
+# Rows of the gap chain's workspace, of which it uses five.  While it is live
+# an estimate also holds the logits (2 rows), the noise gaps (1), the soft
+# sample (2) and the kept derivative (1), so a step's heap extent is the
+# block plus about six rows.  glibc trims the heap once its free top reaches
+# twice the largest block it has unmapped; eight rows keep the extent below
+# that with over a row to spare (see the module docstring).
+_GAP_WORKSPACE_ROWS = 8
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
@@ -285,8 +298,9 @@ class TrajectoryNoise:
     transformed to mu + sqrt(v) * x1 inside the trajectory, and each step's z
     is scaled by sqrt(v) (see :func:`composite_trajectory`).  ``step_z`` holds
     one entry per transition, None where the step is deterministic; left
-    empty, every step is deterministic.  Draws have the logits' (L, K) shape;
-    at K = 2 :func:`draw_noise` stores each as (gap, 0), see there.
+    empty, every step is deterministic.  Draws have the logits' (L, K) shape,
+    except that a K = 2 draw may also be given as its (L,) per-row gaps
+    w_0 - w_1, the form :func:`draw_noise` stores (see there).
     """
 
     x1: np.ndarray
@@ -298,23 +312,24 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
     """Draw all randomness a trajectory needs, in a fixed order: x1, then one
     z per step with eta_s > 0.  Every K = 2 chain reads a draw only through its
     gap (the moment-matched one as v_0 = v_1), so at K = 2 a draw is one
-    N(0, 2) value per row, the gap of two standard normals, stored as (gap, 0)."""
+    N(0, 2) value per row, the gap of two standard normals, stored as an
+    (L,) array; :func:`composite_trajectory` reads it as the rows (gap, 0)."""
     def draw():
         if categories != 2:
             return rng.standard_normal((length, categories))
-        w = np.zeros((2, length)).T   # column-major, so the gap is drawn in place
-        rng.standard_normal(length, out=w[:, 0])
-        w[:, 0] *= math.sqrt(2.0)
-        return w
+        gap = rng.standard_normal(length)
+        gap *= math.sqrt(2.0)
+        return gap
 
     x1 = draw()
     step_z = tuple(draw() if eta_s > 0.0 else None for *_, eta_s in schedule.transitions)
     return TrajectoryNoise(x1=x1, step_z=step_z)
 
 
-def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
-    """One z entry per transition (all None if ``step_z`` is empty), a draw
-    for every step with eta_s > 0, and every draw of ``shape``."""
+def _checked_noise(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
+    """The draws (x1, step_z) with one z entry per transition (all None if
+    ``step_z`` is empty) and a draw for every step with eta_s > 0.  Each
+    draw is an (L, K) matrix of ``shape``, or at K = 2 the (L,) gaps."""
     transitions = schedule.transitions
     step_z = noise.step_z or (None,) * len(transitions)
     if len(step_z) != len(transitions):
@@ -322,10 +337,32 @@ def _checked_step_z(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) ->
     for (*_, eta_s), z in zip(transitions, step_z):
         if eta_s > 0.0 and z is None:
             raise _missing_z(eta_s)
-    for draw in (noise.x1, *step_z):
-        if draw is not None and as_matrix(draw).shape != shape:
-            raise ValueError(f"noise of shape {as_matrix(draw).shape} for logits of shape {shape}")
-    return step_z
+
+    def checked(draw):
+        if draw is None:
+            return None
+        draw = np.asarray(draw, dtype=np.float64)
+        if not (shape[1] == 2 and draw.shape == shape[:1]):
+            draw = as_matrix(draw)
+            if draw.shape != shape:
+                raise ValueError(f"noise of shape {draw.shape} for logits of shape {shape}")
+        return draw
+
+    return checked(noise.x1), tuple(checked(z) for z in step_z)
+
+
+def _gaps(draw: np.ndarray) -> np.ndarray:
+    """The (L,) gaps w_0 - w_1 of a checked K = 2 draw."""
+    return draw if draw.ndim == 1 else draw[:, 0] - draw[:, 1]
+
+
+def _rows(draw: np.ndarray) -> np.ndarray:
+    """A checked draw as (L, K) rows; K = 2 gaps become the rows (gap, 0)."""
+    if draw.ndim == 2:
+        return draw
+    rows = np.zeros((draw.shape[0], 2))
+    rows[:, 0] = draw
+    return rows
 
 
 def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
@@ -344,12 +381,13 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
 
     The implementation is chosen from the input, K and ``reference``:
 
-    - K = 2 with the standard reference: the gap chain (:func:`_gap_chain`).
-      At n = 2 its soft sample is ``stable_softmax`` of the logits bit for
-      bit, as the composite oracle's is; otherwise it agrees with
-      :func:`composite_trajectory` to about 1e-15 relative.  Its
-      gradient agrees to about 1e-12 times the cotangent's norm
-      (``gradcheck.check_gap_chain``).
+    - K = 2 with the standard reference: the gap chain (:func:`_gap_chain`),
+      in forward mode.  At n = 2 its soft sample is ``stable_softmax`` of
+      the logits bit for bit, as the composite oracle's is; otherwise it
+      agrees with :func:`composite_trajectory` to about 1e-15 relative.
+      Its gradient for a cotangent G, ((G_0 - G_1) D) (1, -1) with D the
+      soft sample's derivative in the logit gap, agrees to about 1e-12
+      times the cotangent's norm (``gradcheck.check_gap_chain``).
     - Any other K with the standard reference: the category-major chain
       (:func:`_category_chain`).  It runs on arrays and enters the tape as
       one node of ``logits`` whose VJP is the closed-form reverse sweep over
@@ -371,46 +409,45 @@ def sample_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNoise,
 
 
 def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node:
-    """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1.
+    """The K = 2 standard-reference chain on the per-row gap delta = x_0 - x_1,
+    in forward mode.
 
-    The denoiser pair of z = (theta_0 - theta_1) + c delta is d_0 = 1/(1+e)
-    and d_1 = e d_0 with e = exp(min(-z, 709)) (finite).  Each of the n-2
-    intermediate transitions stores only its e and sets
-    delta <- b delta + 2a d_0 - a + eta_s (z_0 - z_1) for its noise z.  The
+    The denoiser pair of z = g + c delta, with g = theta_0 - theta_1, is
+    d_0 = 1/(1+e) and d_1 = e d_0 with e = exp(min(-z, 709)) (finite).  Each
+    of the n-2 intermediate transitions sets
+    delta <- b delta + 2a d_0 - a + eta_s gap(z_s) for its noise z_s.  The
     last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is
     its denoiser, ``stable_softmax`` of the rows (z, 0), computed here one
     column at a time in that function's operation order; at n = 2 (c = 0) it
     is ``stable_softmax`` of the logits bit for bit.
 
-    The sweep carries the cotangent gap gamma = g_0 - g_1: from the last
-    step down, u = a_k d_0 d_1 gamma is the logits' share of category 0 (and
-    -u of category 1), and gamma <- b_k gamma + 2 c_k u.  It rebuilds each
-    pair from the stored e in the forward's order and multiplies
-    ((gamma a_k) d_0) d_1; the last step's pair is the soft sample's
-    (larger, smaller) entries, in that order, since category order would
-    move gradients in the last bit.  Storing the products d_0 d_1 instead
-    would be cheaper, but (gamma a_k)(d_0 d_1) rounds differently.
+    The chain depends on the logits only through g, so beside delta it
+    carries the tangent J = d delta / d g, zero at x1: with q = 2a d_0 d_1
+    each intermediate step sets J <- (b + c q) J + q.  After the last
+    denoiser, D = s_0 s_1 (1 + c J) is d soft_0 / d g per row, computed as
+    p + (p c) J with p = s_0 s_1, so that a huge c at a tiny t1 meets the
+    tiny p of a saturated row before it meets J.  The node's VJP maps a
+    cotangent G to ((G_0 - G_1) D) (1, -1): no step is stored and there is
+    no sweep loop.
 
-    A call makes one allocation besides the soft sample, an (n-2 + 4, L)
-    workspace: the n-2 stored e, then gap_theta, delta, a work row and d_0,
-    which the sweep takes over as its gradient, gamma, u and the rebuilt
-    pair.  The sweep writes only those four slots, so a second backward pass
-    is bit-identical; the gradient it returns is the one array it allocates.
-    The chain node's VJP holds the workspace.  As one block it is the
-    estimate's largest and keeps the heap mapped (see the module docstring);
-    a separate (n-1, L) block of products beside (L,) arrays made every
-    ``poly-redge16`` step re-fault about 2,500 pages.
+    A call allocates a workspace whose first five rows hold g, delta, e,
+    d_0 and a work row (its size keeps the heap mapped, see
+    ``_GAP_WORKSPACE_ROWS``), the (L, 2) soft sample and the (L,) row that
+    carries J and then D; only the last two outlive the call, and the chain
+    node's VJP holds D.  The VJP allocates only the gradient it returns, so
+    a second backward pass is bit-identical.  Against the composite
+    oracle's reverse sweep, the soft sample is bit-identical and the
+    gradient differs in its last bits.
     """
-    step_z = _checked_step_z(schedule, noise, logits.shape)
+    x1, step_z = _checked_noise(schedule, noise, logits.shape)
     transitions = schedule.transitions
-    x1 = as_matrix(noise.x1)
     theta = logits.value
-    steps = len(step_z)
-    workspace = np.empty((steps + 3,) + theta.shape[:1])
-    block, (gap_theta, delta, work, d0) = workspace[:steps - 1], workspace[steps - 1:]
+    length = theta.shape[0]
+    gap_theta, delta, e, d0, work = np.empty((_GAP_WORKSPACE_ROWS, length))[:5]
+    tangent = np.zeros(length)
     np.subtract(theta[:, 0], theta[:, 1], out=gap_theta)
-    np.subtract(x1[:, 0], x1[:, 1], out=delta)
-    for (t, s, c, a, b, eta_s), step, e in zip(transitions, step_z, block):
+    np.copyto(delta, _gaps(x1))
+    for (t, s, c, a, b, eta_s), step in zip(transitions[:-1], step_z):
         np.multiply(delta, -c, out=e)
         np.subtract(e, gap_theta, out=e)   # -z
         np.minimum(e, 709.0, out=e)
@@ -418,17 +455,22 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
         np.add(e, 1.0, out=d0)
         np.divide(1.0, d0, out=d0)
         np.multiply(d0, 2.0 * a, out=work)
+        np.multiply(e, d0, out=e)   # d_1
+        np.multiply(e, work, out=e)   # q
+        np.multiply(e, c, out=d0)
+        np.add(d0, b, out=d0)
+        np.multiply(tangent, d0, out=tangent)
+        np.add(tangent, e, out=tangent)
         np.subtract(work, a, out=work)
         np.multiply(delta, b, out=delta)
         np.add(delta, work, out=delta)
         if eta_s > 0.0:
-            step = as_matrix(step)
-            np.subtract(step[:, 0], step[:, 1], out=work)
-            np.multiply(work, eta_s, out=work)
+            np.multiply(_gaps(step), eta_s, out=work)
             np.add(delta, work, out=delta)
     # stable_softmax of the rows (z, 0): z in delta, the row max in work and
     # the second column's exponent in d0
-    np.multiply(delta, transitions[-1][2], out=delta)
+    c = transitions[-1][2]
+    np.multiply(delta, c, out=delta)
     np.add(gap_theta, delta, out=delta)
     np.maximum(delta, 0.0, out=work)
     np.subtract(delta, work, out=delta)
@@ -440,36 +482,17 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     np.add(delta, d0, out=work)
     np.divide(delta, work, out=soft[:, 0])
     np.divide(d0, work, out=soft[:, 1])
-    grad, gap, u, pair = gap_theta, delta, work, d0   # spent by the forward pass
+    np.multiply(soft[:, 0], soft[:, 1], out=work)   # p
+    np.multiply(work, c, out=e)
+    np.multiply(tangent, e, out=tangent)
+    derivative = np.add(tangent, work, out=tangent)
 
     def vjp(g):
-        last = steps - 1
-        np.subtract(g[:, 0], g[:, 1], out=gap)   # the cotangent gap on the current state
-        for k in range(last, -1, -1):
-            c, a, b = transitions[k][2:5]
-            out = grad if k == last else u   # the last step's u starts the gradient
-            np.multiply(gap, a, out=out)
-            if k == last:
-                np.maximum(soft[:, 0], soft[:, 1], out=pair)
-                np.multiply(out, pair, out=out)
-                np.minimum(soft[:, 0], soft[:, 1], out=pair)
-            else:
-                np.add(block[k], 1.0, out=pair)
-                np.divide(1.0, pair, out=pair)
-                np.multiply(out, pair, out=out)
-                np.multiply(block[k], pair, out=pair)
-            np.multiply(out, pair, out=out)
-            if out is u:
-                np.add(grad, u, out=grad)
-            if not k:
-                break   # the first state carries no gradient
-            np.multiply(gap, b, out=gap)
-            np.multiply(out, 2.0 * c, out=u)
-            np.add(gap, u, out=gap)
-        both = np.empty(g.shape)
-        both[:, 0] = grad
-        np.negative(grad, out=both[:, 1])
-        return both
+        grad = np.empty(g.shape)
+        np.subtract(g[:, 0], g[:, 1], out=grad[:, 0])
+        np.multiply(grad[:, 0], derivative, out=grad[:, 0])
+        np.negative(grad[:, 0], out=grad[:, 1])
+        return grad
 
     return logits.apply(soft, vjp)
 
@@ -505,7 +528,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     glibc return the heap top after every estimate and fault it back in on
     the next one.
     """
-    step_z = _checked_step_z(schedule, noise, logits.shape)
+    x1, step_z = _checked_noise(schedule, noise, logits.shape)
     transitions = schedule.transitions
     length, categories = logits.shape
     steps = len(step_z)
@@ -514,7 +537,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     scratch, soft = workspace[steps + 5:].reshape(2, length, categories)
     col = spare[0]
     np.copyto(theta, logits.value.T)
-    np.copyto(x, as_matrix(noise.x1).T)
+    np.copyto(x, _rows(x1).T)
     for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
         np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
@@ -525,7 +548,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
         np.multiply(d, a, out=work)
         np.add(work, x, out=x)
         if eta_s > 0.0:
-            np.copyto(work, as_matrix(z).T)   # a ufunc would buffer the transpose
+            np.copyto(work, _rows(z).T)   # a ufunc would buffer the transpose
             np.multiply(work, eta_s, out=work)
             np.add(x, work, out=x)
     np.copyto(soft, block[-1].T)
@@ -566,15 +589,16 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
     Returns the states [(t, Node)]; the last is the last denoiser output
     node itself.  Gradients flow into ``reference`` as its node allows.
     """
-    step_z = _checked_step_z(schedule, noise, logits.shape)
+    x1, step_z = _checked_noise(schedule, noise, logits.shape)
     tape = logits.tape
+    x1 = _rows(x1)
     if reference is None:
-        x = tape.constant(noise.x1)
+        x = tape.constant(x1)
     else:
         mu = softmax_rows(reference)
         v = (mu * (1.0 - mu)).clamp_min(path_variance_floor(mu.shape[1]))
         root = v.sqrt()
-        x = mu + root * tape.constant(noise.x1)
+        x = mu + root * tape.constant(x1)
     states = [(1.0, x)]
     for (t, s, c, a, b, eta_s), z in zip(schedule.transitions, step_z):
         if reference is None:
@@ -584,11 +608,11 @@ def composite_trajectory(logits: Node, schedule: Schedule, noise: TrajectoryNois
         if not s:
             x = d   # a = 1, b = 0 and eta_s = 0: the last state is this denoiser
         elif reference is None:
-            x = ddim_step(s, t, x, d, schedule, z)
+            x = ddim_step(s, t, x, d, schedule, None if z is None else _rows(z))
         else:
             x = d * a + x * b
             if eta_s > 0.0:
                 r = b * schedule.sigma(t)
-                x = x + mu * (schedule.sigma(s) - r) + root * tape.constant(eta_s * as_matrix(z))
+                x = x + mu * (schedule.sigma(s) - r) + root * tape.constant(eta_s * _rows(z))
         states.append((s, x))
     return states

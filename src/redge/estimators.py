@@ -26,7 +26,9 @@ gs-st      argmax of logits + Gumbel noise  hard sample  Cov(s) g / tau, s the t
                                                          softmax of the same perturbation
 reinforce  inverse CDF on p                 hard sample  :func:`reinforce_apply`
 redge      chain, then inverse CDF on its   hard sample  the chain node's closed-form
-           soft sample, the last denoiser                reverse sweep, seeded with g
+           soft sample, the last denoiser                VJP, seeded with g: a reverse
+                                                         sweep, or at K = 2 the kept
+                                                         forward-mode derivative
 redge-cov  as redge, from N(p, v), the      hard sample  the tape sweep of the composite
            moment-matched reference                      chain, seeded with g; through p
                                                          and v too with ``base_backprop``
@@ -233,7 +235,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
         onehot = None   # only redge-max's trapezoid reads it after f
     tape.backward(x0, seed=gx)
     grad = grad_or_zero(logits)
-    tape.release()   # the chain's workspace is freed on return, not by the cyclic collector
+    tape.release()   # the chain's arrays are freed on return, not by the cyclic collector
     if kind == "redge-max":
         # The sweep's gradient splits at the final transition into a direct
         # logits term, Cov(d) g with d the last denoiser output, plus the term

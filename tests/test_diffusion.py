@@ -441,28 +441,34 @@ def test_draw_noise_deterministic():
             np.testing.assert_array_equal(za, zb)
 
 
-def test_binary_draws_are_gaps_stored_as_gap_zero():
+def test_binary_draws_are_gaps():
+    # At K = 2 each draw is one (L,) row of N(0, 2) gaps, sqrt(2) times the
+    # standard normals the stream gives in order.
     sched = linear_schedule(4, eta="full")
     noise = draw_noise(sched, 20_000, 2, np.random.default_rng(22))
-    for w in (noise.x1, *noise.step_z[:-1]):   # the last step is noise-free
-        assert w.shape == (20_000, 2) and np.all(w[:, 1] == 0.0)
-        assert abs(w[:, 0].var() - 2.0) < 0.1   # N(0, 2), the gap of two standard normals
+    normals = np.random.default_rng(22).standard_normal((3, 20_000))
+    for w, z in zip((noise.x1, *noise.step_z[:-1]), normals):   # the last step is noise-free
+        assert w.shape == (20_000,)
+        np.testing.assert_array_equal(w, z * np.sqrt(2.0))
+        assert abs(w.var() - 2.0) < 0.1
 
 
 @pytest.mark.parametrize("eta", ["zero", "half", "full"])
 @pytest.mark.parametrize("reference", ["standard", "detach", "logits"])
 def test_binary_chains_read_noise_only_through_its_gap(reference, eta):
-    # Noise pairs (w_0, w_1) and their gaps (w_0 - w_1, 0) drive every K = 2
-    # chain the same way, which is what lets draw_noise store only the gap.
+    # Noise pairs (w_0, w_1), their rows (w_0 - w_1, 0) and their (L,) gaps
+    # w_0 - w_1 drive every K = 2 chain the same way, which is what lets
+    # draw_noise store only the gap; the last two bit for bit.
     rng = np.random.default_rng(23)
     sched = linear_schedule(8, eta=eta)
     theta = 1.5 * rng.standard_normal((5, 2))
     cotangent = rng.standard_normal((5, 2))
     pairs = [rng.standard_normal((5, 2)) for _ in range(len(sched.transitions) + 1)]
+    gaps = [w[:, 0] - w[:, 1] for w in pairs]
 
-    def gap(w):
-        out = np.zeros_like(w)
-        out[:, 0] = w[:, 0] - w[:, 1]
+    def rows(gap):
+        out = np.zeros((len(gap), 2))
+        out[:, 0] = gap
         return out
 
     def run(draws):
@@ -477,9 +483,66 @@ def test_binary_chains_read_noise_only_through_its_gap(reference, eta):
         return soft.value, leaf.grad
 
     soft_pair, grad_pair = run(pairs)
-    soft_gap, grad_gap = run([gap(w) for w in pairs])
+    soft_gap, grad_gap = run(gaps)
+    soft_rows, grad_rows = run([rows(g) for g in gaps])
+    assert soft_rows.tobytes() == soft_gap.tobytes()
+    assert grad_rows.tobytes() == grad_gap.tobytes()
     np.testing.assert_allclose(soft_gap, soft_pair, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(grad_gap - grad_pair) <= 1e-12 * np.linalg.norm(cotangent)
+
+
+@pytest.mark.parametrize("t1", [None, 1e-150, 1e-153, 8e-155])
+@pytest.mark.parametrize("steps", [3, 16])
+def test_saturated_gap_chain_matches_the_composite_jacobian(steps, t1):
+    # Logit gaps of +-800 saturate every denoiser of the gap chain, and at
+    # t1 = 1e-150, 1e-153 and 8e-155 (just above where Schedule rejects c)
+    # the last coefficient c is about 1e300, 1e306 and 1.6e308.  The third
+    # row starts next to the decision boundary, so at n = 16 its tangent J
+    # grows to about 5e3 before its last denoiser saturates, and c J
+    # overflows unless the tiny s_0 s_1 meets c first.  The gradient stays
+    # finite, with overflow and invalid operations raising, and agrees with
+    # the composite oracle's full Jacobian within check_gap_chain's bound.
+    # A reverse sweep that formed 2c overflowed at 8e-155.
+    rng = np.random.default_rng(41)
+    theta = 1.5 * rng.standard_normal((3, 2))
+    theta[:2, 0] += [800.0, -800.0]
+    theta[2] = [1e-10, 0.0]
+    sched = linear_schedule(steps, t1=t1)
+    noise = draw_noise(sched, 3, 2, rng)
+    noise.x1[2] = 0.0
+    cotangent = rng.standard_normal((3, 2))
+    with np.errstate(over="raise", invalid="raise"):
+        tape = Tape()
+        leaf = tape.lift(theta, requires_grad=True)
+        tape.backward(sample_trajectory(leaf, sched, noise), seed=cotangent)
+        oracle = Tape().lift(theta, requires_grad=True)
+        jac = jacobian(composite_trajectory(oracle, sched, noise)[-1][1], oracle)
+    want = (cotangent.ravel() @ jac).reshape(theta.shape)
+    assert np.isfinite(leaf.grad).all()
+    assert np.linalg.norm(leaf.grad - want) <= 1e-11 * np.linalg.norm(cotangent)
+
+
+@pytest.mark.parametrize("eta", ["zero", "half"])
+@pytest.mark.parametrize("steps", [2, 4, 16])
+def test_gap_chain_derivative_is_a_finite_difference_of_its_soft_sample(steps, eta):
+    # Under the cotangent (1, 0) per row, the VJP returns the kept
+    # D = d soft_0 / d (theta_0 - theta_1) in its first column; it matches a
+    # central difference of soft_0 in the logit gap, with the noise frozen.
+    rng = np.random.default_rng(42)
+    sched = linear_schedule(steps, eta=eta)
+    theta = rng.standard_normal((6, 2))
+    noise = draw_noise(sched, 6, 2, rng)
+    tape = Tape()
+    leaf = tape.lift(theta, requires_grad=True)
+    tape.backward(sample_trajectory(leaf, sched, noise), seed=np.tile([1.0, 0.0], (6, 1)))
+    kept = leaf.grad[:, 0]
+    np.testing.assert_array_equal(leaf.grad[:, 1], -kept)
+
+    h = 1e-6
+    shift = np.array([h / 2.0, -h / 2.0])   # moves theta_0 - theta_1 by h
+    up, down = (sample_trajectory(Tape().lift(theta + sign * shift), sched, noise).value[:, 0]
+                for sign in (1.0, -1.0))
+    np.testing.assert_allclose(kept, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("categories", [2, 3, 17])
@@ -655,26 +718,31 @@ def test_category_chain_makes_one_allocation(categories):
 
 
 def test_gap_chain_makes_one_allocation():
-    # K = 2: besides the (L, 2) soft sample the forward pass allocates one
-    # (n-2 + 4, L) workspace, the n-2 stored exp(-z) and four (L,) slots,
-    # and nothing else of (L,) size; the sweep allocates nothing of (L,)
-    # size but the (L, 2) gradient it returns.  With L above getbufsize(),
-    # an (L,) array stands out from numpy's ufunc buffers.
+    # K = 2 in forward mode stores no step: the forward pass leaves exactly
+    # the (L, 2) soft sample and the (L,) derivative row, and its peak, a
+    # fixed workspace beside those two, grows by less than a row from n = 6
+    # to n = 16.
+    # The sweep allocates nothing of (L,) size but the (L, 2) gradient it
+    # returns.  With L above getbufsize(), an (L,) array stands out from
+    # numpy's ufunc buffers.
     length = 10000
     rng = np.random.default_rng(31)
-    sched = linear_schedule(6, eta="half")
-    noise = draw_noise(sched, length, 2, rng)
-    tape = Tape()
-    leaf = tape.lift(1.5 * rng.standard_normal((length, 2)), requires_grad=True)
-    cotangent = rng.standard_normal((length, 2))
-    row = cotangent.nbytes // 2
     assert length > np.getbufsize()
-    soft, grown, forward_peak, sweep_peak = _traced_chain(tape, leaf, sched, noise, cotangent)
-    workspace = (len(sched.transitions) + 3) * row
-    assert grown == sorted([(1, workspace), (1, soft.value.nbytes)])
-    assert workspace + soft.value.nbytes <= forward_peak < workspace + soft.value.nbytes + row
-    assert leaf.grad.nbytes == cotangent.nbytes
-    assert cotangent.nbytes <= sweep_peak < cotangent.nbytes + row
+    peaks = []
+    for steps in (6, 16):
+        sched = linear_schedule(steps, eta="half")
+        noise = draw_noise(sched, length, 2, rng)
+        tape = Tape()
+        leaf = tape.lift(1.5 * rng.standard_normal((length, 2)), requires_grad=True)
+        cotangent = rng.standard_normal((length, 2))
+        row = cotangent.nbytes // 2
+        soft, grown, forward_peak, sweep_peak = _traced_chain(tape, leaf, sched, noise, cotangent)
+        assert grown == sorted([(1, row), (1, soft.value.nbytes)])
+        assert forward_peak < 12 * row
+        peaks.append(forward_peak)
+        assert leaf.grad.nbytes == cotangent.nbytes
+        assert cotangent.nbytes <= sweep_peak < cotangent.nbytes + row
+    assert peaks[1] < peaks[0] + row
 
 
 @pytest.mark.parametrize("categories", [3, 20])
