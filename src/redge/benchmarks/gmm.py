@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor import (Node, Tape, _row_total, as_matrix, covariance_apply, grad_or_zero,
-                      softmax_rows, stable_softmax)
+from ..categorical import FactorizedCategorical
+from ..tensor import Node, Tape, as_matrix, covariance_apply, grad_or_zero, softmax_rows
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -59,7 +59,7 @@ def likelihood_cost(mhat: np.ndarray, problem: GmmProblem) -> np.ndarray:
     """(N, K) matrix of -log N(y_i; m_k, sigma_y^2 I)."""
     y, var = problem.data, problem.sigma_y**2
     y_sq = (y**2).sum(axis=1, keepdims=True)  # (N, 1)
-    m_sq = _row_total(np.power(mhat, 2.0)).T  # (1, K)
+    m_sq = np.power(mhat, 2.0).sum(axis=1)  # (K,)
     const = 0.5 * problem.dim * (_LOG_2PI + np.log(var))
     return (y_sq - (y @ mhat.T) * 2.0 + m_sq) * (1.0 / (2.0 * var)) + const
 
@@ -87,17 +87,26 @@ def entropy_prior_term(logits: Node, problem: GmmProblem) -> Node:
     return p.dot(p.log()) + problem.size * np.log(problem.components)
 
 
-def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProblem) -> float:
-    """The exact negative ELBO: entropy and assignment prior, the expected
+def _entropy_prior(dist: FactorizedCategorical, problem: GmmProblem):
+    """(p, log p, value) of :func:`entropy_prior_term` on the distribution's
+    cached probabilities, without a tape.  A probability that underflowed to
+    zero has no finite log and raises ``ValueError``."""
+    p = dist.probs
+    if not np.all(p > 0.0):
+        raise ValueError("an assignment probability underflowed to 0")
+    log_p = np.log(p)
+    return p, log_p, float((p * log_p).sum()) + problem.size * np.log(problem.components)
+
+
+def exact_objective_value(dist: FactorizedCategorical, mhat: np.ndarray,
+                          problem: GmmProblem) -> float:
+    """The exact negative ELBO of the assignment law ``dist``: entropy and
+    assignment prior (:func:`entropy_prior_term`'s value), the expected
     likelihood cost (the dot against the probability matrix, since the
     likelihood term is linear in the one-hot) and the N(0, sigma0^2 I) prior
-    on the means: :func:`entropy_prior_term`'s value, without a tape.  A
-    probability that underflowed to zero has no finite log and raises
+    on the means.  A probability that underflowed to zero raises
     ``ValueError``."""
-    p = stable_softmax(logits)
-    if not np.all(p > 0.0):
-        raise ValueError("exact_objective_value: a probability underflowed to 0")
-    entropy = float((p * np.log(p)).sum()) + problem.size * np.log(problem.components)
+    p, _, entropy = _entropy_prior(dist, problem)
     cost = float((p * likelihood_cost(mhat, problem)).sum())
     var0 = problem.sigma0**2
     prior = (np.power(mhat, 2.0).sum() * (1.0 / (2.0 * var0))
@@ -105,22 +114,19 @@ def exact_objective_value(logits: np.ndarray, mhat: np.ndarray, problem: GmmProb
     return float(entropy + cost + prior)
 
 
-def entropy_prior_gradient(logits: np.ndarray, problem: GmmProblem) -> np.ndarray:
-    """Exact logits gradient of the analytic entropy + prior terms.
+def entropy_prior_gradient(dist: FactorizedCategorical, problem: GmmProblem) -> np.ndarray:
+    """Exact logits gradient of the analytic entropy + prior terms of ``dist``.
 
-    One closed-form node on its tape, with :func:`entropy_prior_term`'s
+    One closed-form node on a tape whose leaf is the distribution's
+    read-only logits (shared, not copied), with :func:`entropy_prior_term`'s
     value and the VJP Cov(p) (g log p + (g p) / p), the term's tape
     composition in that tape's operation order, so the gradient is bit for
-    bit the tape's.  A probability that underflowed to zero has no finite
-    log and raises ``ValueError``.
+    bit the tape's.  A probability that underflowed to zero raises
+    ``ValueError``.
     """
+    p, log_p, value = _entropy_prior(dist, problem)
     tape = Tape()
-    leaf = tape.lift(logits, requires_grad=True)
-    p = stable_softmax(leaf.value)
-    if not np.all(p > 0.0):
-        raise ValueError("entropy_prior_gradient: a probability underflowed to 0")
-    log_p = np.log(p)
-    value = float((p * log_p).sum()) + problem.size * np.log(problem.components)
+    leaf = tape.lift(dist.logits, requires_grad=True)
 
     def vjp(g):
         g = g[0, 0]

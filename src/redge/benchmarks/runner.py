@@ -158,12 +158,11 @@ class _GmmTask(_Task):
 
     def step(self, params, step):
         logits, mhat = params
-        p = self.problem
-        grad, aux = self.gradients(FactorizedCategorical(logits),
-                                   lambda x: gmm_mod.likelihood_term(x, mhat, p), step)
-        g_logits = grad + gmm_mod.entropy_prior_gradient(logits, p)
+        p, dist = self.problem, FactorizedCategorical(logits)
+        grad, aux = self.gradients(dist, lambda x: gmm_mod.likelihood_term(x, mhat, p), step)
+        g_logits = grad + gmm_mod.entropy_prior_gradient(dist, p)
         g_mhat = aux["mhat"] + gmm_mod.map_gradient(mhat, p)
-        return [g_logits, g_mhat], gmm_mod.exact_objective_value(logits, mhat, p)
+        return [g_logits, g_mhat], gmm_mod.exact_objective_value(dist, mhat, p)
 
     def summary(self, params, trace):
         tail_vals = [row[1] for row in trace[-self.tail:]]

@@ -100,6 +100,7 @@ _BOUNDARY_TOL = 1e-12
 # that with over a row to spare (see the module docstring).
 _GAP_WORKSPACE_ROWS = 8
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 # eta_t / sigma_t for each named noise level of the reverse chain.
@@ -419,7 +420,10 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     last has a = 1, b = 0 and eta = 0 on every grid, so the soft sample is
     its denoiser, ``stable_softmax`` of the rows (z, 0), computed here one
     column at a time in that function's operation order; at n = 2 (c = 0) it
-    is ``stable_softmax`` of the logits bit for bit.
+    is ``stable_softmax`` of the logits bit for bit.  z is first clamped at
+    the largest float, which changes no finite z: a logit gap that overflows
+    to +inf then saturates its row as a finite one does, where the row max
+    would give inf - inf.
 
     The chain depends on the logits only through g, so beside delta it
     carries the tangent J = d delta / d g, zero at x1: with q = 2a d_0 d_1
@@ -472,6 +476,7 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     c = transitions[-1][2]
     np.multiply(delta, c, out=delta)
     np.add(gap_theta, delta, out=delta)
+    np.minimum(delta, _FLOAT_MAX, out=delta)   # an overflowed gap: inf - inf below
     np.maximum(delta, 0.0, out=work)
     np.subtract(delta, work, out=delta)
     np.subtract(0.0, work, out=d0)
@@ -537,7 +542,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     scratch, soft = workspace[steps + 5:].reshape(2, length, categories)
     col = spare[0]
     np.copyto(theta, logits.value.T)
-    np.copyto(x, _rows(x1).T)
+    np.copyto(x, x1.T)
     for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
         np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
@@ -548,7 +553,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
         np.multiply(d, a, out=work)
         np.add(work, x, out=x)
         if eta_s > 0.0:
-            np.copyto(work, _rows(z).T)   # a ufunc would buffer the transpose
+            np.copyto(work, z.T)   # a ufunc would buffer the transpose
             np.multiply(work, eta_s, out=work)
             np.add(x, work, out=x)
     np.copyto(soft, block[-1].T)

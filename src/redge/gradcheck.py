@@ -33,7 +33,8 @@ from .estimators import (
     eval_objective,
     split_rng,
 )
-from .tensor import Tape, finite_diff_gradient, grad_or_zero, jacobian, softmax_rows, stable_softmax
+from .tensor import (_COLUMNWISE_K, Tape, finite_diff_gradient, grad_or_zero, jacobian,
+                     softmax_rows, stable_softmax)
 
 
 @dataclass
@@ -304,21 +305,20 @@ def _chain_outputs(chain, theta, schedule, noise, cotangent):
 
 
 def check_fused_chain(seed: int) -> list:
-    """The category-major chain of ``sample_trajectory`` against its
-    composite oracle under the standard reference, per noise level and side
-    of the K <= 16 reduction rule, over K in {2, 3, 16} and {17, 20}, n in
-    {2, 4, 16}, and two rows (one row on odd seeds): bit for bit for the
-    deterministic chain, else to 1e-12 relative (the worst quantity is
-    reported).  It calls that chain directly, so K = 2 is checked here too,
-    though ``sample_trajectory`` runs the gap chain there (see
-    :func:`check_gap_chain`).  Under a reference node ``sample_trajectory``
-    runs the composite chain itself, so there is no fused form to check."""
+    """``sample_trajectory``'s category-major chain against its composite
+    oracle under the standard reference, per noise level and side of the
+    column rule (``tensor._COLUMNWISE_K``), over K in {3, 16} and {17, 20},
+    n in {2, 4, 16}, and two rows (one row on odd seeds): bit for bit for
+    the deterministic chain, else to 1e-12 relative (the worst quantity is
+    reported).  K = 2 runs the gap chain (see :func:`check_gap_chain`).
+    Under a reference node ``sample_trajectory`` runs the composite chain
+    itself, so there is no fused form to check."""
     rng = np.random.default_rng(seed)
     length = 1 if seed % 2 else 2
     results = []
     for eta in ("zero", "half", "full"):
         tol = 0.0 if eta == "zero" else 1e-12
-        for ks in ((2, 3, 16), (17, 20)):
+        for ks in ((3, _COLUMNWISE_K), (_COLUMNWISE_K + 1, 20)):
             worst = None
             for k in ks:
                 for n in (2, 4, 16):
@@ -327,7 +327,7 @@ def check_fused_chain(seed: int) -> list:
                     noise = diffusion.draw_noise(schedule, length, k, rng)
                     cotangent = rng.standard_normal((length, k))
                     got, want = (_chain_outputs(chain, theta, schedule, noise, cotangent)
-                                 for chain in (diffusion._category_chain,
+                                 for chain in (diffusion.sample_trajectory,
                                                diffusion.composite_trajectory))
                     for what, a, b in zip(("soft", "denoiser", "grad"), got, want):
                         r = _compare(f"fused_chain_{what}[eta={eta},L={length},"
@@ -378,6 +378,49 @@ def check_gap_chain(seed: int) -> list:
                 if what not in worst or not r.error <= worst[what].error:
                     worst[what] = r
         results.extend(worst.values())
+    return results
+
+
+def check_final_draw(seed: int) -> list:
+    """The final draw in expectation: with the path noise frozen from
+    ``split_rng(seed)[0]`` and grad f affine, the chain's VJP seeded with
+    grad f(X), summed over every one-hot X weighted by its probability under
+    the soft sample s, is the ``redge-soft`` gradient, the VJP seeded with
+    grad f(s) = sum_X P_s(X) grad f(X).  So ``redge`` adds only the draw's
+    variance to ``redge-soft``.  Random quadratics over shapes with
+    L K <= 8 (both chains: the gap chain at K = 2), n in {3, 4, 8}, eta
+    zero and half; the worst shape per (eta, n) is reported.  The error is
+    taken relative to the largest seed grad f(X), as :func:`check_gap_chain`
+    bounds by the cotangent, since at n = 8 the chain's gradient can nearly
+    vanish."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for eta in ("zero", "half"):
+        for n in (3, 4, 8):
+            config = EstimatorConfig(kind="redge-soft", steps=n, eta=eta)
+            schedule = config.schedule()
+            worst = None
+            for length, k in ((1, 2), (4, 2), (1, 3), (2, 3), (2, 4), (1, 8)):
+                dist = _random_dist(rng, length, k)
+                f = random_quadratic(rng, length, k)
+                want = estimate(dist, f, config, seed).grad
+                noise = diffusion.draw_noise(schedule, length, k, split_rng(seed)[0])
+                tape = Tape()
+                logits = tape.lift(dist.logits, requires_grad=True)
+                soft = diffusion.sample_trajectory(logits, schedule, noise)
+                got, scale = np.zeros_like(want), 0.0
+                for x in enumerate_onehots(length, k):
+                    gx = eval_objective(f, x.onehot)[1]
+                    tape.backward(soft, seed=gx)
+                    weight = np.prod(soft.value[np.arange(length), x.indices])
+                    got += weight * grad_or_zero(logits)
+                    scale = max(scale, float(np.linalg.norm(gx)))
+                tape.release()
+                r = _compare(f"final_draw[eta={eta},L={length},K={k},n={n},seed={seed}]",
+                             got, want, 1e-12, norm=scale)
+                if worst is None or not r.error <= worst.error:
+                    worst = r
+            results.append(worst)
     return results
 
 
@@ -482,7 +525,7 @@ def run_gradcheck(seeds=(0, 1, 2, 3, 4), name_filter: Optional[str] = None) -> l
             if name_filter and name_filter not in check.__name__:
                 continue
             results.append(check(seed))
-        for check in (check_fused_chain, check_gap_chain, check_pathwise_fd):
+        for check in (check_fused_chain, check_gap_chain, check_final_draw, check_pathwise_fd):
             if not name_filter or name_filter in check.__name__:
                 results.extend(check(seed))
     return results

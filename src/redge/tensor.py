@@ -47,6 +47,11 @@ __all__ = [
 # keeps softmax rows strictly positive even for extreme logit gaps.
 _EXP_FLOOR = -745.0
 
+# The column rule: up to this many categories, row reductions and (L, 1)
+# row broadcasts run one category column at a time, above it as numpy's
+# axis reductions and broadcasts.
+_COLUMNWISE_K = 16
+
 
 def as_matrix(value) -> np.ndarray:
     """Coerce a scalar, sequence, or array into a 2-D float64 array."""
@@ -82,32 +87,23 @@ def frozen_matrix(value, what: str = "input") -> np.ndarray:
     return arr
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """Per-row max as an (L, 1) column; column-wise for small K (fast path)."""
-    if x.shape[1] > 16:
-        return x.max(axis=1, keepdims=True)
-    m = x[:, 0].copy()
-    for k in range(1, x.shape[1]):
-        np.maximum(m, x[:, k], out=m)
-    return m[:, None]
-
-
-def _row_total(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, kept as a length-1 axis; column-wise for small K
+def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis (``np.maximum`` or ``np.add``), kept
+    as a length-1 axis; column-wise up to :data:`_COLUMNWISE_K` categories
     (fast path).  Leading axes are carried through, so (L, K) gives (L, 1)."""
-    if x.shape[-1] > 16:
-        return x.sum(axis=-1, keepdims=True)
-    s = x[..., 0].copy()
+    if x.shape[-1] > _COLUMNWISE_K:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    r = x[..., 0].copy()
     for k in range(1, x.shape[-1]):
-        s += x[..., k]
-    return s[..., None]
+        ufunc(r, x[..., k], out=r)
+    return r[..., None]
 
 
 def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
     """``op(x, col)`` for a (..., 1) column ``col`` whose leading axes cover
-    those of ``x``; column-wise for small K (fast path, elementwise the same
-    as the broadcast)."""
-    if x.shape[-1] > 16:
+    those of ``x``; column-wise up to :data:`_COLUMNWISE_K` categories (fast
+    path, elementwise the same as the broadcast)."""
+    if x.shape[-1] > _COLUMNWISE_K:
         return op(x, col, out=out)
     if out is None:
         out = np.empty(col.shape[:-1] + x.shape[-1:])
@@ -119,11 +115,11 @@ def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
 
 def _category_total(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Sum over the leading (category) axis of a (K, L) block into the (L,)
-    ``out``, in :func:`_row_total`'s order on the (L, K) transpose: one
-    category at a time for K <= 16, numpy's pairwise sum over a contiguous
-    K axis above, on the transpose copied into the C-ordered (L, K)
-    ``scratch``."""
-    if z.shape[0] > 16:
+    ``out``, in :func:`_row_reduce`'s order on the (L, K) transpose: one
+    category at a time up to :data:`_COLUMNWISE_K`, numpy's pairwise sum over
+    a contiguous K axis above, on the transpose copied into the C-ordered
+    (L, K) ``scratch``."""
+    if z.shape[0] > _COLUMNWISE_K:
         np.copyto(scratch, z.T)
         return np.sum(scratch, axis=-1, out=out)
     np.copyto(out, z[0])
@@ -136,7 +132,8 @@ def softmax_by_category(z: np.ndarray, col: np.ndarray, scratch: np.ndarray) -> 
     """In place, the softmax over the leading axis of a (K, L) block: bit for
     bit the transpose of :func:`stable_softmax` on the (L, K) rows, with
     every row op a contiguous op over L.  ``col`` is (L,) scratch and
-    ``scratch`` (L, K), read only above K = 16 (see :func:`_category_total`)."""
+    ``scratch`` (L, K), read only above :data:`_COLUMNWISE_K` categories (see
+    :func:`_category_total`)."""
     np.max(z, axis=0, out=col)
     np.subtract(z, col, out=z)
     np.maximum(z, _EXP_FLOOR, out=z)
@@ -162,10 +159,10 @@ def stable_softmax(x) -> np.ndarray:
     collapse to all zeros.
     """
     x = as_matrix(x)
-    z = _by_row(np.subtract, x, _row_max(x))
+    z = _by_row(np.subtract, x, _row_reduce(np.maximum, x))
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return _by_row(np.divide, z, _row_total(z), out=z)
+    return _by_row(np.divide, z, _row_reduce(np.add, z), out=z)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -325,7 +322,7 @@ class Node:
 
     def row_sum(self) -> "Node":
         shape = self.value.shape
-        out = _row_total(self.value)
+        out = _row_reduce(np.add, self.value)
         return self.apply(out, lambda g: np.repeat(g, shape[1], axis=1))
 
     def dot(self, other) -> "Node":
@@ -363,7 +360,7 @@ class Node:
 
 def covariance_apply(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise action of diag(p) - p p^T on g; leading axes of g broadcast."""
-    return p * _by_row(np.subtract, g, _row_total(p * g))
+    return p * _by_row(np.subtract, g, _row_reduce(np.add, p * g))
 
 
 def softmax_rows(x: Node) -> Node:

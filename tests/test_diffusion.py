@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from redge.analysis import random_linear
 from redge.categorical import FactorizedCategorical, sample_onehot_rows
 from redge.diffusion import (
     TrajectoryNoise,
@@ -24,6 +25,7 @@ from redge.diffusion import (
     sample_trajectory,
     uniform_grid,
 )
+from redge.estimators import EstimatorConfig, estimate
 from redge.tensor import Tape, jacobian, stable_softmax
 
 
@@ -520,6 +522,41 @@ def test_saturated_gap_chain_matches_the_composite_jacobian(steps, t1):
     want = (cotangent.ravel() @ jac).reshape(theta.shape)
     assert np.isfinite(leaf.grad).all()
     assert np.linalg.norm(leaf.grad - want) <= 1e-11 * np.linalg.norm(cotangent)
+
+
+@pytest.mark.parametrize("eta", ["zero", "half", "full"])
+@pytest.mark.parametrize("steps", [2, 4, 16])
+def test_an_overflowing_logit_gap_saturates_its_row(steps, eta):
+    # The rows (1.7e308, -1.7e308) and (-1.7e308, 1.7e308) have logit gaps
+    # that overflow to +inf and -inf.  The gap chain clamps its last z at
+    # the largest float, so the +inf row saturates as a finite gap does
+    # instead of meeting inf - inf in the last softmax (invalid operations
+    # raise here).  Both rows agree with the composite oracle within
+    # check_gap_chain's bounds, and every diffusion kind's estimate, whose
+    # hard draw reads the soft sample, is finite.
+    rng = np.random.default_rng(44)
+    theta = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    sched = linear_schedule(steps, eta=eta)
+    noise = draw_noise(sched, 2, 2, rng)
+    cotangent = rng.standard_normal((2, 2))
+    f = random_linear(rng, 2, 2)
+    outputs = []
+    with np.errstate(over="ignore", invalid="raise"):
+        for chain in (sample_trajectory, lambda *a: composite_trajectory(*a)[-1][1]):
+            tape = Tape()
+            leaf = tape.lift(theta, requires_grad=True)
+            soft = chain(leaf, sched, noise)
+            tape.backward(soft, seed=cotangent)
+            outputs.append((soft.value, leaf.grad))
+        estimates = [estimate(FactorizedCategorical(theta), f,
+                              EstimatorConfig(kind=kind, steps=steps, eta=eta), 5)
+                     for kind in ("redge", "redge-soft", "redge-max", "redge-cov")]
+    (soft, grad), (soft_want, grad_want) = outputs
+    assert np.linalg.norm(soft - soft_want) <= 1e-12 * np.linalg.norm(soft_want)
+    assert np.isfinite(grad).all()
+    assert np.linalg.norm(grad - grad_want) <= 1e-11 * np.linalg.norm(cotangent)
+    for est in estimates:
+        assert np.isfinite(est.grad).all(), est.kind
 
 
 @pytest.mark.parametrize("eta", ["zero", "half"])

@@ -51,7 +51,7 @@ def test_gmm_objective_matches_assignment_enumeration():
         want += weight * (np.log(q[rows, z]) + np.log(k) + cost[rows, z]).sum()
     want -= normal_logpdf(mhat, 0.0, problem.sigma0).sum()
 
-    got = gmm.exact_objective_value(logits, mhat, problem)
+    got = gmm.exact_objective_value(FactorizedCategorical(logits), mhat, problem)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_gmm_objective_rejects_an_underflowed_probability():
     problem = gmm.gmm_generate(5, size=3, components=3)
     logits = np.array([[0.0, 0.0, -1000.0], [0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="underflowed to 0"):
-        gmm.exact_objective_value(logits, problem.true_means, problem)
+        gmm.exact_objective_value(FactorizedCategorical(logits), problem.true_means, problem)
 
 
 @pytest.mark.parametrize("problem", [PolyProgProblem(length=6),
@@ -240,8 +240,9 @@ def test_gmm_entropy_prior_gradient_matches_central_differences():
     logits = np.random.default_rng(9).standard_normal((5, 4))
     want = finite_diff_gradient(
         lambda z: tape_value(lambda n: gmm.entropy_prior_term(n, problem), z), logits)
-    np.testing.assert_allclose(gmm.entropy_prior_gradient(logits, problem), want,
-                               rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(
+        gmm.entropy_prior_gradient(FactorizedCategorical(logits), problem), want,
+        rtol=1e-7, atol=1e-9)
 
 
 def test_gmm_entropy_prior_gradient_is_one_node_matching_its_tape_composition(monkeypatch):
@@ -253,7 +254,8 @@ def test_gmm_entropy_prior_gradient_is_one_node_matching_its_tape_composition(mo
         tape = Tape()
         leaf = tape.lift(logits, requires_grad=True)
         tape.backward(gmm.entropy_prior_term(leaf, problem))
-        assert gmm.entropy_prior_gradient(logits, problem).tobytes() == leaf.grad.tobytes()
+        got = gmm.entropy_prior_gradient(FactorizedCategorical(logits), problem)
+        assert got.tobytes() == leaf.grad.tobytes()
     nodes = []
     real_backward = Tape.backward
 
@@ -262,15 +264,16 @@ def test_gmm_entropy_prior_gradient_is_one_node_matching_its_tape_composition(mo
         return real_backward(tape, output, seed)
 
     monkeypatch.setattr(Tape, "backward", counting)
-    gmm.entropy_prior_gradient(logits, problem)
+    gmm.entropy_prior_gradient(FactorizedCategorical(logits), problem)
     assert nodes == [2]   # the lifted logits and the one closed-form node
 
 
 def test_gmm_entropy_prior_gradient_rejects_an_underflowed_probability():
     # Two tied maxima halve the smallest subnormal exp(-745) to exactly 0.
     problem = gmm.gmm_generate(7, size=2, components=3)
+    dist = FactorizedCategorical(np.array([[0.0, -800.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="underflowed to 0"):
-        gmm.entropy_prior_gradient(np.array([[0.0, -800.0, 0.0], [0.0, 0.0, 0.0]]), problem)
+        gmm.entropy_prior_gradient(dist, problem)
 
 
 def test_polyprog_rejects_an_empty_problem():

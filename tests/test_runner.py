@@ -1,5 +1,6 @@
-"""Run-harness tests: bit-identical reruns, the diverged path, dispatch, the
-checks on the task options, and the Sudoku Monte-Carlo trace loss."""
+"""Run-harness tests: bit-identical reruns and trace files, the diverged
+path, dispatch, the checks on the task options, and the Sudoku Monte-Carlo
+trace loss."""
 
 import math
 
@@ -35,6 +36,23 @@ def test_rerun_is_bit_identical(name):
     assert _without_wall_clock(first.summary) == _without_wall_clock(second.summary)
     assert first.summary["config"]["problem"] == name
     assert first.summary["wall_seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_csv_of_a_rerun_is_byte_identical(name, tmp_path):
+    # The trace file holds step, loss and grad_norm, each float in its
+    # round-trip form; the wall clock goes only to the summary's
+    # wall_seconds, which no rerun reproduces.
+    problem, cfg, kwargs = CASES[name]
+    runs = [runner.run_benchmark(problem, cfg, 3, 11, **kwargs) for _ in range(2)]
+    paths = [tmp_path / f"trace{i}.csv" for i in range(2)]
+    for path, run in zip(paths, runs):
+        runner.write_trace_csv(path, run.trace)
+    first, second = (path.read_bytes() for path in paths)
+    assert first == second
+    header, *rows = first.decode("utf-8").split("\n")[:-1]
+    assert header == "step,loss,grad_norm"
+    assert [tuple(map(float, row.split(","))) for row in rows] == runs[0].trace
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
