@@ -117,6 +117,7 @@ class _PolyTask(_Task):
 
     def __init__(self, problem: PolyProgProblem, est_cfg, steps, seed,
                  batch: int = 256, lr: float = 0.05):
+        _check_count("batch", batch)
         super().__init__(est_cfg, steps, seed, lr, {"batch": batch, **asdict(problem)})
         self.problem, self.batch = problem, batch
         self.stacked = replace(problem, length=batch * problem.length)

@@ -177,6 +177,8 @@ class SudokuBatch:
 
     def __init__(self, problems):
         self.problems = list(problems)
+        if not self.problems:
+            raise ValueError("SudokuBatch needs at least one puzzle, got an empty puzzle list")
         self.total_free = sum(p.free_count for p in self.problems)
         # global row index (puzzle-major) of each stacked free cell
         self.scatter_index = np.concatenate([

@@ -342,11 +342,12 @@ def _checked_noise(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> 
     def checked(draw):
         if draw is None:
             return None
-        draw = np.asarray(draw, dtype=np.float64)
-        if not (shape[1] == 2 and draw.shape == shape[:1]):
-            draw = as_matrix(draw)
-            if draw.shape != shape:
-                raise ValueError(f"noise of shape {draw.shape} for logits of shape {shape}")
+        given = np.asarray(draw, dtype=np.float64)
+        if shape[1] == 2 and given.shape == shape[:1]:
+            return given
+        draw = as_matrix(given)
+        if draw.shape != shape:
+            raise ValueError(f"noise of shape {given.shape} for logits of shape {shape}")
         return draw
 
     return checked(noise.x1), tuple(checked(z) for z in step_z)
@@ -508,19 +509,18 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     The chain and its sweep work on (K, L) transposes, so each row's max,
     total and broadcast is one contiguous op over L
     (``tensor.softmax_by_category``, ``tensor.covariance_apply_by_category``).
-    Every float operation keeps the order of the row-major (L, K) formulas,
-    so the results are bit-identical to them.
+    The row-major (L, K) formulas reduce over categories on the same (K, L)
+    blocks (``tensor.row_reduce``), so the results are bit-identical to them.
 
-    A call makes one allocation, an (n-1 + 7, K, L) workspace, and carves
+    A call makes one allocation, an (n-1 + 6, K, L) workspace, and carves
     it by plain indexing into slots of K L floats:
 
     - the n-1 denoiser outputs d_k, category-major;
     - theta, the state and a work array, which the sweep takes over as u,
       the cotangent and tmp once the forward pass has spent them;
     - the sweep's gradient, and a slot whose first row is the (L,) column
-      scratch of the ``tensor`` helpers;
-    - the C-ordered (L, K) transpose scratch of those helpers (read above
-      K = 16), and the soft sample.
+      scratch of the ``tensor`` kernels;
+    - the soft sample, C-ordered (L, K).
 
     The forward pass stops at the last denoiser, whose transpose is the soft
     sample.  The sweep writes only its own slots, never the soft sample or
@@ -537,16 +537,16 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
     transitions = schedule.transitions
     length, categories = logits.shape
     steps = len(step_z)
-    workspace = np.empty((steps + 7, categories, length))
+    workspace = np.empty((steps + 6, categories, length))
     block, (theta, x, work, grad, spare) = workspace[:steps], workspace[steps:steps + 5]
-    scratch, soft = workspace[steps + 5:].reshape(2, length, categories)
+    soft = workspace[steps + 5].reshape(length, categories)
     col = spare[0]
     np.copyto(theta, logits.value.T)
     np.copyto(x, x1.T)
     for (t, s, c, a, b, eta_s), z, d in zip(transitions, step_z, block):
         np.multiply(x, c, out=d)
         np.add(theta, d, out=d)
-        softmax_by_category(d, col, scratch)
+        softmax_by_category(d, col)
         if not s:
             break   # the last transition's state is this denoiser
         np.multiply(x, b, out=x)
@@ -566,7 +566,7 @@ def _category_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) ->
             c, a, b = transitions[k][2:5]
             np.multiply(cot, a, out=tmp)
             out = grad if k == last else u   # the last step's u starts the gradient
-            covariance_apply_by_category(block[k], tmp, out, col, scratch)
+            covariance_apply_by_category(block[k], tmp, out, col)
             if out is u:
                 np.add(grad, u, out=grad)
             if not k:

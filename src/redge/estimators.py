@@ -67,7 +67,7 @@ from .categorical import (
     sample_onehot_rows,
 )
 from .diffusion import Schedule, draw_noise, linear_schedule, sample_trajectory
-from .tensor import Tape, covariance_apply, grad_or_zero, stable_softmax
+from .tensor import Tape, covariance_apply, grad_or_zero, row_reduce, stable_softmax
 
 ESTIMATOR_KINDS = ("st", "reinmax", "gs-st", "reinforce",
                    "redge", "redge-soft", "redge-max", "redge-cov")
@@ -167,7 +167,7 @@ def reinmax_apply(p: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     ``x`` and ``g`` may carry leading axes over the (L, K) of ``p``.
     """
     d = x - p
-    return 0.5 * (covariance_apply(p, g) + d * (d * g).sum(axis=-1, keepdims=True))
+    return 0.5 * (covariance_apply(p, g) + d * row_reduce(np.add, d * g))
 
 
 def reinforce_apply(p: np.ndarray, x: np.ndarray, values,
@@ -245,7 +245,7 @@ def estimate(dist: FactorizedCategorical, f, config: EstimatorConfig,
         # chain workspace made glibc trim the heap on every GMM step; for the
         # same reason the one-hot is built once, before the sweep, not here.
         delta = onehot - soft
-        delta *= (delta * gx).sum(axis=1, keepdims=True)
+        delta *= row_reduce(np.add, delta * gx)
         delta -= covariance_apply(soft, gx)
         delta *= 0.5
         grad = grad + delta

@@ -20,9 +20,11 @@ Tapes are confined to one logical thread.  Values are never mutated after a
 node is created, so they can be shared freely across threads: a leaf holds a
 :func:`frozen_matrix` (read-only), and no op writes into its inputs.
 
-The ``*_by_category`` helpers are the diffusion chain's category-major (K, L)
-forms of :func:`stable_softmax` and :func:`covariance_apply`: in place, with
-the same float operations in the same order.
+The ``*_by_category`` kernels are the diffusion chain's category-major
+(K, L) forms of :func:`stable_softmax` and :func:`covariance_apply`, in
+place.  Every reduction over categories, there and in :func:`row_reduce`, is
+numpy's reduction over the leading axis of a C-ordered (K, L) block, so both
+forms give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "Node",
     "as_matrix",
     "frozen_matrix",
+    "row_reduce",
     "stable_softmax",
     "softmax_rows",
     "finite_diff_gradient",
@@ -46,11 +49,6 @@ __all__ = [
 # exp() underflows to zero a bit below -745; clamping shifted logits there
 # keeps softmax rows strictly positive even for extreme logit gaps.
 _EXP_FLOOR = -745.0
-
-# The column rule: up to this many categories, row reductions and (L, 1)
-# row broadcasts run one category column at a time, above it as numpy's
-# axis reductions and broadcasts.
-_COLUMNWISE_K = 16
 
 
 def as_matrix(value) -> np.ndarray:
@@ -87,67 +85,33 @@ def frozen_matrix(value, what: str = "input") -> np.ndarray:
     return arr
 
 
-def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` over the last axis (``np.maximum`` or ``np.add``), kept
-    as a length-1 axis; column-wise up to :data:`_COLUMNWISE_K` categories
-    (fast path).  Leading axes are carried through, so (L, K) gives (L, 1)."""
-    if x.shape[-1] > _COLUMNWISE_K:
-        return ufunc.reduce(x, axis=-1, keepdims=True)
-    r = x[..., 0].copy()
-    for k in range(1, x.shape[-1]):
-        ufunc(r, x[..., k], out=r)
-    return r[..., None]
+def row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` (``np.maximum`` or ``np.add``) over each row's
+    categories, the last axis, kept as a length-1 axis, so (..., L, K) gives
+    (..., L, 1).  It reduces over the leading axis of the C-ordered
+    category-major (..., K, L) copy: the call the chain's ``*_by_category``
+    kernels make on their blocks, so both layouts reduce in one order."""
+    return ufunc.reduce(np.swapaxes(x, -1, -2).copy(), axis=-2)[..., None]
 
 
-def _by_row(op, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
-    """``op(x, col)`` for a (..., 1) column ``col`` whose leading axes cover
-    those of ``x``; column-wise up to :data:`_COLUMNWISE_K` categories (fast
-    path, elementwise the same as the broadcast)."""
-    if x.shape[-1] > _COLUMNWISE_K:
-        return op(x, col, out=out)
-    if out is None:
-        out = np.empty(col.shape[:-1] + x.shape[-1:])
-    c = col[..., 0]
-    for k in range(x.shape[-1]):
-        op(x[..., k], c, out=out[..., k])
-    return out
-
-
-def _category_total(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sum over the leading (category) axis of a (K, L) block into the (L,)
-    ``out``, in :func:`_row_reduce`'s order on the (L, K) transpose: one
-    category at a time up to :data:`_COLUMNWISE_K`, numpy's pairwise sum over
-    a contiguous K axis above, on the transpose copied into the C-ordered
-    (L, K) ``scratch``."""
-    if z.shape[0] > _COLUMNWISE_K:
-        np.copyto(scratch, z.T)
-        return np.sum(scratch, axis=-1, out=out)
-    np.copyto(out, z[0])
-    for row in z[1:]:
-        out += row
-    return out
-
-
-def softmax_by_category(z: np.ndarray, col: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def softmax_by_category(z: np.ndarray, col: np.ndarray) -> np.ndarray:
     """In place, the softmax over the leading axis of a (K, L) block: bit for
     bit the transpose of :func:`stable_softmax` on the (L, K) rows, with
-    every row op a contiguous op over L.  ``col`` is (L,) scratch and
-    ``scratch`` (L, K), read only above :data:`_COLUMNWISE_K` categories (see
-    :func:`_category_total`)."""
+    every row op a contiguous op over L.  ``col`` is (L,) scratch."""
     np.max(z, axis=0, out=col)
     np.subtract(z, col, out=z)
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return np.divide(z, _category_total(z, col, scratch), out=z)
+    return np.divide(z, np.sum(z, axis=0, out=col), out=z)
 
 
 def covariance_apply_by_category(d: np.ndarray, g: np.ndarray, out: np.ndarray,
-                                 col: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                                 col: np.ndarray) -> np.ndarray:
     """``out`` = Cov(d) g over the leading axis of (K, L) blocks, bit for bit
     the transpose of :func:`covariance_apply`; ``g`` is overwritten, and
-    ``col`` and ``scratch`` are as in :func:`softmax_by_category`."""
+    ``col`` is (L,) scratch."""
     np.multiply(d, g, out=out)
-    np.subtract(g, _category_total(out, col, scratch), out=g)
+    np.subtract(g, np.sum(out, axis=0, out=col), out=g)
     return np.multiply(d, g, out=out)
 
 
@@ -159,10 +123,10 @@ def stable_softmax(x) -> np.ndarray:
     collapse to all zeros.
     """
     x = as_matrix(x)
-    z = _by_row(np.subtract, x, _row_reduce(np.maximum, x))
+    z = x - row_reduce(np.maximum, x)
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return _by_row(np.divide, z, _row_reduce(np.add, z), out=z)
+    return np.divide(z, row_reduce(np.add, z), out=z)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -322,7 +286,7 @@ class Node:
 
     def row_sum(self) -> "Node":
         shape = self.value.shape
-        out = _row_reduce(np.add, self.value)
+        out = row_reduce(np.add, self.value)
         return self.apply(out, lambda g: np.repeat(g, shape[1], axis=1))
 
     def dot(self, other) -> "Node":
@@ -360,7 +324,7 @@ class Node:
 
 def covariance_apply(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise action of diag(p) - p p^T on g; leading axes of g broadcast."""
-    return p * _by_row(np.subtract, g, _row_reduce(np.add, p * g))
+    return p * (g - row_reduce(np.add, p * g))
 
 
 def softmax_rows(x: Node) -> Node:

@@ -687,6 +687,12 @@ def test_noise_must_have_the_logits_shape(chain):
                   TrajectoryNoise(x1=good.x1, step_z=bad_z)):
         with pytest.raises(ValueError, match=r"noise of shape \(1, 4\) for logits of shape \(3, 4\)"):
             chain(leaf, sched, noise)
+    # A 1-D draw is reported with its own shape, not as_matrix's (1, n).
+    with pytest.raises(ValueError, match=r"noise of shape \(4,\) for logits of shape \(3, 4\)"):
+        chain(leaf, sched, TrajectoryNoise(x1=np.zeros(4), step_z=good.step_z))
+    gaps = Tape().constant(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"noise of shape \(5,\) for logits of shape \(4, 2\)"):
+        chain(gaps, linear_schedule(3), TrajectoryNoise(x1=np.zeros(5)))
 
 
 def test_reference_must_be_the_logits_or_frozen():
@@ -739,7 +745,7 @@ def _traced_chain(tape, leaf, sched, noise, cotangent):
 def test_category_chain_makes_one_allocation(categories):
     # The forward pass allocates one workspace and nothing of (K, L) size
     # beside it; the sweep allocates nothing of (K, L) size but the gradient
-    # it returns.  Both sides of the K <= 16 reduction rule are covered.
+    # it returns.
     # numpy's ufunc loops take a buffer of up to getbufsize() elements for a
     # broadcast operand; with K L above that, a (K, L) array stands out.
     tape, leaf, sched, noise, cotangent = _chain_case(categories, length=4000)
@@ -747,7 +753,7 @@ def test_category_chain_makes_one_allocation(categories):
     assert cotangent.size > np.getbufsize()
     soft, grown, forward_peak, sweep_peak = _traced_chain(tape, leaf, sched, noise, cotangent)
     workspace = soft.value.base
-    assert workspace.shape == (len(sched.transitions) + 7, categories, 4000)
+    assert workspace.shape == (len(sched.transitions) + 6, categories, 4000)
     assert grown == [(1, workspace.nbytes)]
     assert workspace.nbytes <= forward_peak < workspace.nbytes + size
     assert leaf.grad.nbytes == size
@@ -787,8 +793,8 @@ def test_category_chain_outputs_are_views_of_its_workspace(categories):
     tape, leaf, sched, noise, _ = _chain_case(categories, length=7)
     soft = sample_trajectory(leaf, sched, noise).value
     assert soft.shape == (7, categories) and soft.flags.c_contiguous
-    assert soft.base.shape == (len(sched.transitions) + 7, categories, 7)
-    # the soft sample is the workspace's last slot, beside the transpose scratch
+    assert soft.base.shape == (len(sched.transitions) + 6, categories, 7)
+    # the soft sample is the workspace's last slot
     assert np.shares_memory(soft, soft.base[-1])
 
 

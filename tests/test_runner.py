@@ -126,12 +126,20 @@ def test_learning_rate_must_be_finite_and_positive(name, lr):
         runner.run_benchmark(problem, cfg, 1, 11, lr=lr, **kwargs)
 
 
-@pytest.mark.parametrize("name, option", [("gmm", "tail"), ("sudoku", "mc_draws")])
-@pytest.mark.parametrize("value", [0, -1, 2.0, True])
+@pytest.mark.parametrize("name, option",
+                         [("gmm", "tail"), ("poly", "batch"), ("sudoku", "mc_draws")])
+@pytest.mark.parametrize("value", [0, -1, 2.0, 2.5, True])
 def test_counts_must_be_integers_of_at_least_one(name, option, value):
     problem, cfg, kwargs = CASES[name]
     with pytest.raises(ValueError, match=f"{option} must be an integer >= 1, got {value!r}"):
         runner.run_benchmark(problem, cfg, 1, 11, **{**kwargs, option: value})
+
+
+def test_an_empty_puzzle_list_is_rejected():
+    with pytest.raises(ValueError, match="empty puzzle list"):
+        sudoku.SudokuBatch([])
+    with pytest.raises(ValueError, match="empty puzzle list"):
+        runner.run_benchmark([], EstimatorConfig(kind="reinmax"), 1, 11)
 
 
 @pytest.mark.parametrize("steps", [-3, -1, 2.0, True, None])

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redge.categorical import FactorizedCategorical
+from redge.estimators import reinmax_apply
 from redge.tensor import (
     Tape,
-    _row_reduce,
     as_matrix,
     covariance_apply,
+    covariance_apply_by_category,
     finite_diff_gradient,
     grad_or_zero,
     jacobian,
+    row_reduce,
+    softmax_by_category,
     softmax_rows,
     stable_softmax,
 )
@@ -235,7 +238,7 @@ def _domain_values(rng, domain, shape):
 @given(length=st.integers(1, 4), categories=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_vjp_matches_central_differences(name, length, categories, seed):
     """Each op's VJP, under a random cotangent, against central differences on
-    random shapes; K > 16 takes the wide-row branches of the row reductions."""
+    random shapes, on both sides of K = 8, where a one-row sum turns pairwise."""
     build, domain = VJP_OPS[name]
     rng = np.random.default_rng(seed)
     x = _domain_values(rng, domain, (length, categories))
@@ -247,19 +250,30 @@ def test_vjp_matches_central_differences(name, length, categories, seed):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(length=st.integers(1, 4), categories=st.integers(1, 24), reps=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
-def test_column_rule_equals_the_broadcast(length, categories, reps, seed):
-    """Up to K = 16 the (L, 1) row broadcasts run one column at a time; the
-    results are bit for bit those of the broadcast formulas over the same row
-    reductions."""
+def test_row_reduce_is_the_category_kernels_rule(length, categories, reps, seed):
+    """Row reductions run over the leading axis of the (K, L) transpose, the
+    rule of the chain's category-major kernels: the row-major forms equal
+    the broadcast formulas over ``row_reduce`` and the kernels on the
+    transposed block bit for bit, and ReinMax on an (R, L, K) stack equals
+    its per-replication calls."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-30.0, 30.0, (length, categories))
-    z = np.exp(np.maximum(x - _row_reduce(np.maximum, x), -745.0))
-    np.testing.assert_array_equal(stable_softmax(x), z / _row_reduce(np.add, z))
+    z = np.exp(np.maximum(x - row_reduce(np.maximum, x), -745.0))
     p = stable_softmax(x)
+    np.testing.assert_array_equal(p, z / row_reduce(np.add, z))
+    col = np.empty(length)
+    np.testing.assert_array_equal(p, softmax_by_category(x.T.copy(), col).T)
     g = rng.standard_normal((reps, length, categories))
-    want = p * (g - _row_reduce(np.add, p * g))
+    want = p * (g - row_reduce(np.add, p * g))
     np.testing.assert_array_equal(covariance_apply(p, g), want)
-    np.testing.assert_array_equal(covariance_apply(p, g[0]), want[0])
+    onehot = np.eye(categories)[rng.integers(0, categories, (reps, length))]
+    stacked = reinmax_apply(p, onehot, g)
+    out = np.empty((categories, length))
+    for r in range(reps):
+        np.testing.assert_array_equal(covariance_apply(p, g[r]), want[r])
+        kernel = covariance_apply_by_category(p.T.copy(), g[r].T.copy(), out, col)
+        np.testing.assert_array_equal(want[r], kernel.T)
+        np.testing.assert_array_equal(stacked[r], reinmax_apply(p, onehot[r], g[r]))
 
 
 class TestSoftmax:
