@@ -30,6 +30,7 @@ from .diffusion import (Schedule, TrajectoryNoise, composite_trajectory, linear_
                         sample_trajectory, uniform_grid)
 from .estimators import (
     EstimatorConfig,
+    check_count,
     covariance_apply,
     estimate,
     reinforce_apply,
@@ -266,11 +267,18 @@ class PolyObjective:
         if self.quad is not None and self.quad.shape != (size, size):
             raise ValueError("quadratic block must be (L*K, L*K)")
         self.cubic = None if cubic is None else as_matrix(cubic)
+        for name, block in (("linear", self.lin), ("cubic", self.cubic)):
+            if block is not None and block.shape != self.shape:
+                raise ValueError(f"{name} block of shape {block.shape} for objective "
+                                 f"shape {self.shape}")
         self.const = float(const)
+        # grad_batch's symmetric quadratic block, built once
+        self._quad_sym = None if self.quad is None else self.quad + self.quad.T
 
     def __call__(self, x: Node) -> Node:
-        point = x.value
-        return x.apply(np.array([[self.value(point)]]), lambda g: g[0, 0] * self.grad(point))
+        stack = x.value[None]
+        return x.apply(self.value_batch(stack)[:, None],
+                       lambda g: g[0, 0] * self.grad_batch(stack)[0])
 
     def value(self, x) -> float:
         return float(self.value_batch(as_matrix(x)[None])[0])
@@ -278,7 +286,13 @@ class PolyObjective:
     def grad(self, x) -> np.ndarray:
         return self.grad_batch(as_matrix(x)[None])[0]
 
+    def _check_stack(self, stack: np.ndarray) -> None:
+        if stack.shape[-2:] != self.shape:
+            raise ValueError(f"points of shape {stack.shape[-2:]} for objective "
+                             f"shape {self.shape}")
+
     def value_batch(self, stack: np.ndarray) -> np.ndarray:
+        self._check_stack(stack)
         out = np.full(stack.shape[0], self.const)
         if self.lin is not None:
             out += np.einsum("rlk,lk->r", stack, self.lin)
@@ -290,12 +304,12 @@ class PolyObjective:
         return out
 
     def grad_batch(self, stack: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(stack)
+        self._check_stack(stack)
+        g = np.zeros(stack.shape)
         if self.lin is not None:
             g += self.lin
         if self.quad is not None:
-            flat = stack.reshape(stack.shape[0], -1)
-            g += (flat @ (self.quad + self.quad.T)).reshape(stack.shape)
+            g += (stack.reshape(stack.shape[0], -1) @ self._quad_sym).reshape(stack.shape)
         if self.cubic is not None:
             g += 3.0 * self.cubic * stack**2
         return g
@@ -352,8 +366,7 @@ def bias_variance(config: EstimatorConfig, dist: FactorizedCategorical, f,
     Covariance is normalized by R so that MSE = |bias|^2 + trace(cov) holds
     exactly for the same replications.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
+    check_count("replications", replications)
     exact = exact_gradient(dist, f)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if config.kind in _BATCHABLE_KINDS and hasattr(f, "grad_batch"):

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..categorical import FactorizedCategorical, inverse_cdf
-from ..estimators import EstimatorConfig, estimate
+from ..estimators import EstimatorConfig, check_count, estimate
 from .adam import AdamState, adam_step
 from . import gmm as gmm_mod
 from .polyprog import PolyProgProblem, exact_polyprog_loss, polyprog_loss
@@ -86,12 +86,6 @@ def _jsonify(obj):
 # ---------------------------------------------------------------------------
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Reject a count that is not an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 class _Task:
     def __init__(self, est_cfg: EstimatorConfig, steps: int, seed: int, lr: float,
                  echo: dict):
@@ -117,7 +111,7 @@ class _PolyTask(_Task):
 
     def __init__(self, problem: PolyProgProblem, est_cfg, steps, seed,
                  batch: int = 256, lr: float = 0.05):
-        _check_count("batch", batch)
+        check_count("batch", batch)
         super().__init__(est_cfg, steps, seed, lr, {"batch": batch, **asdict(problem)})
         self.problem, self.batch = problem, batch
         self.stacked = replace(problem, length=batch * problem.length)
@@ -149,7 +143,7 @@ class _GmmTask(_Task):
         super().__init__(est_cfg, steps, seed, lr,
                          {"size": problem.size, "components": problem.components,
                           "sigma0": problem.sigma0, "sigma_y": problem.sigma_y})
-        _check_count("tail", tail)
+        check_count("tail", tail)
         self.problem, self.tail = problem, tail
 
     def init(self, rng):
@@ -180,7 +174,7 @@ class _SudokuTask(_Task):
 
     def __init__(self, problems, est_cfg, steps, seed, lr: float = 0.05,
                  mc_draws: int = 16):
-        _check_count("mc_draws", mc_draws)
+        check_count("mc_draws", mc_draws)
         self.batch = SudokuBatch(problems)
         super().__init__(est_cfg, steps, seed, lr,
                          {"puzzles": self.batch.count, "mc_draws": mc_draws})
@@ -235,7 +229,7 @@ def run_benchmark(problem, est_cfg: EstimatorConfig, steps: int, seed: int,
     step with non-finite gradients is traced, not applied, and ends the run.
     ``steps`` is an integer >= 0; with 0 the summary describes the start.
     """
-    _check_count("steps", steps, least=0)
+    check_count("steps", steps, least=0)
     cls = next((c for kind, c in _TASKS if isinstance(problem, kind)), None)
     if cls is None:
         raise TypeError(f"unknown problem type {type(problem)!r}")

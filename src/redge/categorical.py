@@ -17,7 +17,7 @@ configurations, capped) against which the stochastic estimators are tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -31,10 +31,19 @@ ENUMERATION_CAP = 1 << 20
 _UNIFORM_CLIP = 1e-12
 
 
+@lru_cache(maxsize=16)
+def _identity(categories: int) -> np.ndarray:
+    """The read-only K x K identity, built once per K."""
+    eye = np.eye(categories)
+    eye.flags.writeable = False
+    return eye
+
+
 def onehot_rows(indices, categories: int) -> np.ndarray:
     """The read-only one-hot array of shape ``indices.shape + (K,)``: rows of
-    the K x K identity, picked by in-range integer ``indices``."""
-    onehot = np.take(np.eye(categories), indices, axis=0)
+    the K x K identity, picked by in-range integer ``indices`` into an array
+    of its own."""
+    onehot = np.take(_identity(categories), indices, axis=0)
     onehot.flags.writeable = False
     return onehot
 
@@ -107,9 +116,11 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
 
 def sample_onehot_rows(probs: np.ndarray, rng: np.random.Generator) -> OneHotSample:
     """Per-row categorical draw from row probabilities by :func:`inverse_cdf`;
-    equal probabilities and stream give equal indices."""
+    equal probabilities and stream give equal indices.  Those indices lie in
+    range by construction, so unlike :func:`onehot_from_indices` no range
+    check runs."""
     probs = as_matrix(probs)
-    return onehot_from_indices(inverse_cdf(probs, rng), probs.shape[1])
+    return OneHotSample(indices=inverse_cdf(probs, rng), categories=probs.shape[1])
 
 
 def inverse_cdf(probs: np.ndarray, rng: np.random.Generator, draws=()) -> np.ndarray:
@@ -124,7 +135,8 @@ def inverse_cdf(probs: np.ndarray, rng: np.random.Generator, draws=()) -> np.nda
     indices are those of a sum from zero) and is copied at p_0 + p_1, so at
     K = 2 no running-sum array is allocated.
     """
-    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < np.inf):   # nan fails too
+    if not (np.minimum.reduce(probs, None, initial=0.0) >= 0.0
+            and np.maximum.reduce(probs, None, initial=0.0) < np.inf):   # nan fails too
         raise ValueError("probabilities must be finite and non-negative")
     u = rng.random(tuple(draws) + probs.shape[:1])
     indices = np.zeros(u.shape, dtype=np.int64)

@@ -51,13 +51,13 @@ whose VJP is closed-form.  Each makes one workspace allocation per call, the
 step's largest short-lived block: once the first one is freed, glibc sets
 its dynamic trim threshold to twice its size, and while that stays above the
 heap extent of a step, the heap stays mapped between estimates instead of
-being trimmed and faulted back in.  The gap chain needs only five (L,) rows,
-less than the estimate holds beside them (the logits, the noise gaps, the
-soft sample and the kept derivative, six rows), so its workspace has eight:
-with five, every ``poly-redge16`` step re-faulted about 700 pages and took
-about 1 ms longer.  The denoisers and :func:`ddim_step` are also built from
-tape nodes; composed by :func:`composite_trajectory`, which keeps every
-state, they are the oracle for both one-node chains.
+being trimmed and faulted back in.  The gap chain needs only six (L,) rows,
+as many as the estimate holds beside them (the logits, the noise gaps, the
+soft sample and the kept derivative), so its workspace has eight: with a
+five-row workspace, every ``poly-redge16`` step re-faulted about 700 pages
+and took about 1 ms longer.  The denoisers and :func:`ddim_step` are also
+built from tape nodes; composed by :func:`composite_trajectory`, which keeps
+every state, they are the oracle for both one-node chains.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def path_variance_floor(categories: int) -> float:
     return max(VAR_FLOOR, 0.9 * uniform_var)
 
 _BOUNDARY_TOL = 1e-12
-# Rows of the gap chain's workspace, of which it uses five.  While it is live
+# Rows of the gap chain's workspace, of which it uses six.  While it is live
 # an estimate also holds the logits (2 rows), the noise gaps (1), the soft
 # sample (2) and the kept derivative (1), so a step's heap extent is the
 # block plus about six rows.  glibc trims the heap once its free top reaches
@@ -315,16 +315,17 @@ def draw_noise(schedule: Schedule, length: int, categories: int,
     gap (the moment-matched one as v_0 = v_1), so at K = 2 a draw is one
     N(0, 2) value per row, the gap of two standard normals, stored as an
     (L,) array; :func:`composite_trajectory` reads it as the rows (gap, 0)."""
+    shape = (length, categories) if categories != 2 else length
+
     def draw():
-        if categories != 2:
-            return rng.standard_normal((length, categories))
-        gap = rng.standard_normal(length)
-        gap *= math.sqrt(2.0)
-        return gap
+        z = rng.standard_normal(shape)
+        if categories == 2:
+            z *= math.sqrt(2.0)
+        return z
 
     x1 = draw()
-    step_z = tuple(draw() if eta_s > 0.0 else None for *_, eta_s in schedule.transitions)
-    return TrajectoryNoise(x1=x1, step_z=step_z)
+    step_z = tuple([draw() if step[5] > 0.0 else None for step in schedule.transitions])
+    return TrajectoryNoise(x1, step_z)
 
 
 def _checked_noise(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> tuple:
@@ -335,9 +336,9 @@ def _checked_noise(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> 
     step_z = noise.step_z or (None,) * len(transitions)
     if len(step_z) != len(transitions):
         raise ValueError(f"step_z has {len(step_z)} entries for {len(transitions)} transitions")
-    for (*_, eta_s), z in zip(transitions, step_z):
-        if eta_s > 0.0 and z is None:
-            raise _missing_z(eta_s)
+    for step, z in zip(transitions, step_z):
+        if z is None and step[5] > 0.0:
+            raise _missing_z(step[5])
 
     def checked(draw):
         if draw is None:
@@ -350,7 +351,7 @@ def _checked_noise(schedule: Schedule, noise: TrajectoryNoise, shape: tuple) -> 
             raise ValueError(f"noise of shape {given.shape} for logits of shape {shape}")
         return draw
 
-    return checked(noise.x1), tuple(checked(z) for z in step_z)
+    return checked(noise.x1), tuple([checked(z) for z in step_z])
 
 
 def _gaps(draw: np.ndarray) -> np.ndarray:
@@ -435,11 +436,11 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     cotangent G to ((G_0 - G_1) D) (1, -1): no step is stored and there is
     no sweep loop.
 
-    A call allocates a workspace whose first five rows hold g, delta, e,
-    d_0 and a work row (its size keeps the heap mapped, see
-    ``_GAP_WORKSPACE_ROWS``), the (L, 2) soft sample and the (L,) row that
-    carries J and then D; only the last two outlive the call, and the chain
-    node's VJP holds D.  The VJP allocates only the gradient it returns, so
+    A call allocates a workspace whose first six rows hold g, delta, e,
+    d_0, a work row and the bound of the current clamp (its size keeps the
+    heap mapped, see ``_GAP_WORKSPACE_ROWS``), the (L, 2) soft sample and
+    the (L,) row that carries J and then D; only the last two outlive the
+    call, and the chain node's VJP holds D.  The VJP allocates only the gradient it returns, so
     a second backward pass is bit-identical.  Against the composite
     oracle's reverse sweep, the soft sample is bit-identical and the
     gradient differs in its last bits.
@@ -448,14 +449,15 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     transitions = schedule.transitions
     theta = logits.value
     length = theta.shape[0]
-    gap_theta, delta, e, d0, work = np.empty((_GAP_WORKSPACE_ROWS, length))[:5]
+    gap_theta, delta, e, d0, work, bound = np.empty((_GAP_WORKSPACE_ROWS, length))[:6]
     tangent = np.zeros(length)
     np.subtract(theta[:, 0], theta[:, 1], out=gap_theta)
     np.copyto(delta, _gaps(x1))
+    bound.fill(709.0)   # numpy's minimum and maximum are slower with a scalar operand
     for (t, s, c, a, b, eta_s), step in zip(transitions[:-1], step_z):
         np.multiply(delta, -c, out=e)
         np.subtract(e, gap_theta, out=e)   # -z
-        np.minimum(e, 709.0, out=e)
+        np.minimum(e, bound, out=e)
         np.exp(e, out=e)
         np.add(e, 1.0, out=d0)
         np.divide(1.0, d0, out=d0)
@@ -477,13 +479,16 @@ def _gap_chain(logits: Node, schedule: Schedule, noise: TrajectoryNoise) -> Node
     c = transitions[-1][2]
     np.multiply(delta, c, out=delta)
     np.add(gap_theta, delta, out=delta)
-    np.minimum(delta, _FLOAT_MAX, out=delta)   # an overflowed gap: inf - inf below
-    np.maximum(delta, 0.0, out=work)
+    bound.fill(_FLOAT_MAX)
+    np.minimum(delta, bound, out=delta)   # an overflowed gap: inf - inf below
+    bound.fill(0.0)
+    np.maximum(delta, bound, out=work)
     np.subtract(delta, work, out=delta)
     np.subtract(0.0, work, out=d0)
     soft = np.empty(theta.shape)
+    bound.fill(_EXP_FLOOR)
     for z in (delta, d0):
-        np.maximum(z, _EXP_FLOOR, out=z)
+        np.maximum(z, bound, out=z)
         np.exp(z, out=z)
     np.add(delta, d0, out=work)
     np.divide(delta, work, out=soft[:, 0])

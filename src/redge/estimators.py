@@ -130,6 +130,12 @@ class GradientEstimate:
     aux_grads: dict = field(default_factory=dict)
 
 
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def split_rng(rng):
     """Derive independent (path-noise, categorical) streams.
 

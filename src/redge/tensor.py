@@ -50,6 +50,10 @@ __all__ = [
 # keeps softmax rows strictly positive even for extreme logit gaps.
 _EXP_FLOOR = -745.0
 
+# The seed of a backward pass from a scalar output, shared by every such pass.
+_UNIT_SEED = np.ones((1, 1))
+_UNIT_SEED.flags.writeable = False
+
 
 def as_matrix(value) -> np.ndarray:
     """Coerce a scalar, sequence, or array into a 2-D float64 array."""
@@ -80,7 +84,7 @@ def frozen_matrix(value, what: str = "input") -> np.ndarray:
     else:
         arr = as_matrix(np.array(value, dtype=np.float64, order="C"))
         arr.flags.writeable = False
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
 
@@ -98,11 +102,11 @@ def softmax_by_category(z: np.ndarray, col: np.ndarray) -> np.ndarray:
     """In place, the softmax over the leading axis of a (K, L) block: bit for
     bit the transpose of :func:`stable_softmax` on the (L, K) rows, with
     every row op a contiguous op over L.  ``col`` is (L,) scratch."""
-    np.max(z, axis=0, out=col)
+    np.maximum.reduce(z, axis=0, out=col)
     np.subtract(z, col, out=z)
     np.maximum(z, _EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return np.divide(z, np.sum(z, axis=0, out=col), out=z)
+    return np.divide(z, np.add.reduce(z, axis=0, out=col), out=z)
 
 
 def covariance_apply_by_category(d: np.ndarray, g: np.ndarray, out: np.ndarray,
@@ -111,7 +115,7 @@ def covariance_apply_by_category(d: np.ndarray, g: np.ndarray, out: np.ndarray,
     the transpose of :func:`covariance_apply`; ``g`` is overwritten, and
     ``col`` is (L,) scratch."""
     np.multiply(d, g, out=out)
-    np.subtract(g, np.sum(out, axis=0, out=col), out=g)
+    np.subtract(g, np.add.reduce(out, axis=0, out=col), out=g)
     return np.multiply(d, g, out=out)
 
 
@@ -386,7 +390,7 @@ class Tape:
         return self.lift(value, requires_grad=False)
 
     def _record(self, value, parents) -> Node:
-        live = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
+        live = tuple([entry for entry in parents if entry[0].requires_grad])
         node = Node(self, len(self.nodes), np.asarray(value, dtype=np.float64), live, bool(live))
         self.nodes.append(node)
         return node
@@ -405,7 +409,7 @@ class Tape:
         if seed is None:
             if output.value.shape != (1, 1):
                 raise ValueError(f"backward: non-scalar output of shape {output.value.shape}")
-            seed = np.ones((1, 1))
+            seed = _UNIT_SEED
         else:
             seed = as_matrix(seed)
             if seed.shape != output.value.shape:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redge.analysis import (
+    PolyObjective,
     _batched_single_shot,
     bias_variance,
     bound_threshold,
@@ -189,6 +190,30 @@ class TestPolyObjective:
                 want = finite_diff_gradient(lambda x: f.value_batch(x[None])[0], point)
                 np.testing.assert_allclose(grad, want, rtol=1e-8, atol=1e-8)
 
+    def test_grad_batch_is_the_inline_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        f = random_cubic(rng, 2, 3)
+        stack = rng.uniform(-1.5, 1.5, (5, 2, 3))
+        flat = stack.reshape(5, -1)
+        want = f.lin + (flat @ (f.quad + f.quad.T)).reshape(stack.shape) + 3.0 * f.cubic * stack**2
+        np.testing.assert_array_equal(f.grad_batch(stack), want)
+
+    @pytest.mark.parametrize("blocks", [{"lin": np.ones((1, 3))}, {"cubic": np.arange(3.0)},
+                                        {"lin": np.ones((3, 2))}, {"lin": np.ones(6)}])
+    def test_rejects_a_block_of_another_shape(self, blocks):
+        with pytest.raises(ValueError, match=r"block of shape .* for objective shape \(2, 3\)"):
+            PolyObjective((2, 3), **blocks)
+
+    def test_rejects_points_of_another_shape(self):
+        f = random_cubic(np.random.default_rng(14), 2, 3)
+        for bad in (np.zeros((4, 3, 3)), np.zeros((4, 2, 2)), np.zeros((4, 6))):
+            for method in (f.value_batch, f.grad_batch):
+                with pytest.raises(ValueError, match=r"points of shape \(\d, \d\) for "
+                                                     r"objective shape \(2, 3\)"):
+                    method(bad)
+        with pytest.raises(ValueError, match=r"points of shape \(3, 3\)"):
+            eval_objective(f, np.zeros((3, 3)))
+
     def test_tape_node_is_value_and_grad(self):
         rng = np.random.default_rng(12)
         f = random_cubic(rng, 2, 3)
@@ -261,7 +286,7 @@ class TestBiasVariance:
         # st takes the batched path, redge the per-replication loop
         dist = FactorizedCategorical(np.zeros((2, 3)))
         f = random_cubic(np.random.default_rng(12), 2, 3)
-        for replications in (0, -1):
+        for replications in (0, -1, 2.5, True):
             with pytest.raises(ValueError, match="replications"):
                 bias_variance(EstimatorConfig(kind=kind, steps=3), dist, f, replications, 0)
 

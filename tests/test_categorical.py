@@ -11,6 +11,7 @@ import pytest
 
 from redge.categorical import (
     FactorizedCategorical,
+    _identity,
     enumerate_onehots,
     exact_gradient,
     inverse_cdf,
@@ -245,6 +246,21 @@ class TestOneHotSample:
         assert not onehot.flags.writeable
         with pytest.raises(ValueError):
             onehot[0, 0] = 2.0
+        # the identity is built once per K; each one-hot is an array of its own
+        identity = _identity(7)
+        assert identity is _identity(7)
+        assert not identity.flags.writeable
+        with pytest.raises(ValueError):
+            identity[0, 0] = 2.0
+        rng = np.random.default_rng(4)
+        first, second = (sample_onehot_rows(np.full((50, 7), 1 / 7), rng).onehot
+                         for _ in range(2))
+        for a, b in ((first, second), (first, identity), (second, identity)):
+            assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(identity, np.eye(7))
+        for k in (1, 2, 20):
+            indices = np.random.default_rng(k).integers(0, k, size=30)
+            np.testing.assert_array_equal(onehot_rows(indices, k), np.eye(k)[indices])
 
     def test_onehot_rows_keeps_leading_axes(self):
         indices = np.array([[0, 2], [1, 1], [2, 0]])
